@@ -28,7 +28,7 @@ fn run_bs(dev: &DeviceSpec, engine: EngineMode) -> f64 {
     let data = sim.alloc(op.total_len());
     sim.upload_u32(data, &(0..op.total_len() as u32).collect::<Vec<_>>());
     let k = BsKernel { data, instances, rows, cols, super_size: 1, wg_size: 256 };
-    sim.launch(&k).expect("bs launch").time_s
+    sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).expect("bs launch").time_s
 }
 
 /// One 010! launch (256 tiles of 32×32) under `engine`, fresh sim each call.
@@ -48,7 +48,7 @@ fn run_010(dev: &DeviceSpec, engine: EngineMode) -> f64 {
         flags: FlagLayout::SpreadPadded { factor: 8 },
         backoff: None,
     };
-    sim.launch(&k).expect("010 launch").time_s
+    sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).expect("010 launch").time_s
 }
 
 fn bench_engines(c: &mut Criterion) {

@@ -8,7 +8,7 @@
 use crate::workloads::{table2_sizes, Scale};
 use gpu_sim::DeviceSpec;
 use ipt_core::TileHeuristic;
-use ipt_gpu::autotune::{exhaustive_search_rec, TilePoint, TuneLog};
+use ipt_gpu::autotune::{exhaustive_search, TilePoint, TuneLog};
 use ipt_gpu::opts::GpuOptions;
 use ipt_obs::NoopRecorder;
 use serde::Serialize;
@@ -65,7 +65,7 @@ pub fn run(scale: Scale) -> Report {
             Scale::Reduced => 200,
         };
         let (pts, log): (Vec<TilePoint>, TuneLog) =
-            exhaustive_search_rec(&dev, rows, cols, max_dim, &opts, &NoopRecorder);
+            exhaustive_search(&dev, rows, cols, max_dim, &opts, &NoopRecorder);
         tune.push((dev.name.to_string(), log));
         let best = pts.first().map_or(0.0, |p| p.gbps);
         let pruned_best = pts

@@ -100,7 +100,7 @@ fn bs_workload(instances: usize, rows: usize, cols: usize) -> Workload {
             let data = sim.alloc(words);
             sim.upload_u32(data, &(0..words as u32).collect::<Vec<_>>());
             let k = BsKernel { data, instances, rows, cols, super_size: 1, wg_size: 256 };
-            sim.launch(&k).expect("bs launch")
+            sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).expect("bs launch")
         }),
     }
 }
@@ -124,7 +124,7 @@ fn p010_workload(instances: usize, rows: usize, cols: usize) -> Workload {
                 flags: FlagLayout::SpreadPadded { factor: 8 },
                 backoff: None,
             };
-            sim.launch(&k).expect("010 launch")
+            sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).expect("010 launch")
         }),
     }
 }
@@ -139,9 +139,10 @@ fn coprime_workload(rows: usize, cols: usize) -> Workload {
             let data = sim.alloc(words);
             sim.upload_u32(data, &(0..words as u32).collect::<Vec<_>>());
             let row = CoprimeRowScramble::new(data, rows, cols, 128);
-            let mut stats = sim.launch(&row).expect("coprime-row launch");
+            let mut stats =
+                sim.launch(&row, &ipt_obs::NoopRecorder, 0.0).expect("coprime-row launch");
             let col = CoprimeColShuffle { data, rows, cols, wg_size: 128 };
-            let s2 = sim.launch(&col).expect("coprime-col launch");
+            let s2 = sim.launch(&col, &ipt_obs::NoopRecorder, 0.0).expect("coprime-col launch");
             // Fold stage 2 into one report (sum of times; the memory image
             // is what the identity assertion compares).
             stats.time_s += s2.time_s;
@@ -190,7 +191,7 @@ fn p100_workload(
                 fuse_tile: None,
                 backoff: None,
             };
-            sim.launch(&k).expect("100 launch")
+            sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).expect("100 launch")
         }),
     }
 }
@@ -214,7 +215,8 @@ fn staged_workload(rows: usize, cols: usize) -> Workload {
             let flags = sim.alloc(flag_words);
             sim.upload_u32(flags, &vec![0u32; flag_words]);
             let opts = GpuOptions::tuned_for(sim.device());
-            let pipe = run_plan(sim, data, flags, &plan, &opts).expect("staged plan launches");
+            let pipe = run_plan(sim, data, flags, &plan, &opts, &ipt_obs::NoopRecorder, 0.0)
+                .expect("staged plan launches");
             // Fold the per-stage reports into one (sums of time and
             // counters, max of the longest chain); the memory image is
             // what the identity assertion compares.

@@ -73,7 +73,7 @@ fn run_pipt_time(dev: &DeviceSpec, instances: usize, m: usize, n: usize) -> f64 
         super_size: 1,
         wg_size: 128,
     };
-    let stats = sim.launch(&k).expect("P-IPT launch");
+    let stats = sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).expect("P-IPT launch");
     let mut want = v;
     op.apply_seq(&mut want);
     assert_eq!(sim.download_u32(data), want, "P-IPT incorrect");

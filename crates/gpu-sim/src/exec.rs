@@ -10,7 +10,7 @@
 //! 2. schedules resident warps one `step` (scheduling slice) at a time —
 //!    by default the historic round-robin order (each live warp once per
 //!    round, canonical work-group/warp order), or under any
-//!    [`Scheduler`](crate::sched::Scheduler) via [`launch_configured`],
+//!    [`Scheduler`](crate::sched::Scheduler) via [`launch`],
 //!    which is what makes cross-work-group coordination (the global atomic
 //!    claims of `100!`) behave like real concurrent hardware rather than
 //!    like a serial loop — and what lets the schedule-exploration engine
@@ -42,13 +42,13 @@
 //! [`LaunchError::Stalled`].
 
 use crate::device::DeviceSpec;
-use crate::fault::{AtomicTamper, FaultPlan, FaultSource, StepFault};
+use crate::fault::{AtomicTamper, FaultSource, StepFault};
 use crate::lanes::{LaneAddrs, LaneVals, LaneWrites, MAX_LANES};
 use crate::mem::{Buffer, GlobalMem, LocalMem};
 use crate::occupancy::{occupancy, KernelResources, Occupancy};
 use crate::report::{KernelStats, TimeBounds};
 use crate::sched::{Pick, Scheduler, Watchdog, WarpId};
-use ipt_obs::{Counter, Level, NoopRecorder, Recorder};
+use ipt_obs::{Counter, Level, Recorder};
 use std::sync::Mutex;
 
 /// Per-launch cap on recorded warp spans. Big grids retire millions of
@@ -931,70 +931,6 @@ struct WgRt<S> {
     local: LocalMem,
 }
 
-/// Execute `kernel` on `dev` over `global` memory and return its stats.
-///
-/// # Errors
-/// [`LaunchError::Infeasible`] when the kernel's resources cannot fit the
-/// device at all.
-pub fn launch<K: Kernel>(
-    dev: &DeviceSpec,
-    global: &GlobalMem,
-    kernel: &K,
-) -> Result<KernelStats, LaunchError> {
-    launch_with_faults(dev, global, kernel, None)
-}
-
-/// [`launch`] with an optional armed [`FaultPlan`]: atomic-flag tampering
-/// and local-memory corruption are applied in flight; a planned abort
-/// surfaces as [`LaunchError::Aborted`] with device memory left in whatever
-/// partially transposed state the kernel reached.
-///
-/// # Errors
-/// [`LaunchError::Infeasible`] for infeasible launches,
-/// [`LaunchError::Aborted`] when the fault plan kills the kernel.
-pub fn launch_with_faults<K: Kernel>(
-    dev: &DeviceSpec,
-    global: &GlobalMem,
-    kernel: &K,
-    fault: Option<&FaultPlan>,
-) -> Result<KernelStats, LaunchError> {
-    launch_traced(dev, global, kernel, fault.map(|f| f as &dyn FaultSource), &NoopRecorder, 0.0)
-}
-
-/// [`launch_with_faults`] instrumented with a [`Recorder`].
-///
-/// `t0_s` is the launch's start on the cumulative DES clock (seconds); the
-/// kernel span, sampled per-warp spans, and every typed counter land on the
-/// recorder under the kernel's name. With [`NoopRecorder`] this
-/// monomorphizes to exactly the uninstrumented engine — [`launch`] and
-/// [`launch_with_faults`] are thin wrappers over this function.
-///
-/// Per-warp spans are a *sample*: the first [`WARP_SPAN_CAP`] retired warps
-/// get a span (start `t0_s`, duration = that warp's dependent-chain cycles
-/// at the device clock — warps run concurrently, so they share the start);
-/// the remainder are counted in [`Counter::DroppedWarpSpans`].
-///
-/// # Errors
-/// [`LaunchError::Infeasible`] for infeasible launches,
-/// [`LaunchError::Aborted`] when the fault plan kills the kernel.
-pub fn launch_traced<K: Kernel, R: Recorder>(
-    dev: &DeviceSpec,
-    global: &GlobalMem,
-    kernel: &K,
-    fault: Option<&dyn FaultSource>,
-    rec: &R,
-    t0_s: f64,
-) -> Result<KernelStats, LaunchError> {
-    launch_configured(
-        dev,
-        global,
-        kernel,
-        LaunchConfig { fault, sched: None, watchdog: None, engine: EngineMode::Serial },
-        rec,
-        t0_s,
-    )
-}
-
 /// Optional engine extensions for one launch.
 ///
 /// The default configuration (all `None`) is exactly the historic engine:
@@ -1002,7 +938,8 @@ pub fn launch_traced<K: Kernel, R: Recorder>(
 #[derive(Default)]
 pub struct LaunchConfig<'a> {
     /// Fault source consulted at every injection site — a single-shot
-    /// [`FaultPlan`] or a sustained [`ChaosPlan`](crate::fault::ChaosPlan).
+    /// [`FaultPlan`](crate::fault::FaultPlan) or a sustained
+    /// [`ChaosPlan`](crate::fault::ChaosPlan).
     pub fault: Option<&'a dyn FaultSource>,
     /// Warp scheduler. `None` uses the built-in round-robin fast path,
     /// which is bit-identical to scheduling with
@@ -1018,16 +955,31 @@ pub struct LaunchConfig<'a> {
     pub engine: EngineMode,
 }
 
-/// The fully configurable engine entry: [`launch_traced`] plus an optional
-/// [`Scheduler`] controlling the warp interleaving and an optional
-/// [`Watchdog`] bounding progress.
+/// Execute `kernel` on `dev` over `global` memory and return its stats —
+/// the one engine entry. `cfg` carries the optional fault source, warp
+/// scheduler, watchdog and host engine; `LaunchConfig::default()` is the
+/// plain round-robin launch.
+///
+/// An armed fault source applies atomic-flag tampering and local-memory
+/// corruption in flight; a planned abort surfaces as
+/// [`LaunchError::Aborted`] with device memory left in whatever partially
+/// transposed state the kernel reached.
+///
+/// `t0_s` is the launch's start on the cumulative DES clock (seconds); the
+/// kernel span, sampled per-warp spans, and every typed counter land on
+/// `rec` under the kernel's name. With [`NoopRecorder`](ipt_obs::NoopRecorder)
+/// this monomorphizes to exactly the uninstrumented engine. Per-warp spans
+/// are a *sample*: the first [`WARP_SPAN_CAP`] retired warps get a span
+/// (start `t0_s`, duration = that warp's dependent-chain cycles at the
+/// device clock — warps run concurrently, so they share the start); the
+/// remainder are counted in [`Counter::DroppedWarpSpans`].
 ///
 /// # Errors
 /// [`LaunchError::Infeasible`] for infeasible launches,
 /// [`LaunchError::Aborted`] when the fault source kills the kernel,
 /// [`LaunchError::Stalled`] when the watchdog trips.
 #[allow(clippy::too_many_lines)]
-pub fn launch_configured<K: Kernel, R: Recorder>(
+pub fn launch<K: Kernel, R: Recorder>(
     dev: &DeviceSpec,
     global: &GlobalMem,
     kernel: &K,

@@ -37,8 +37,8 @@ pub mod sim;
 
 pub use device::{Arch, DeviceSpec, PcieSpec};
 pub use exec::{
-    launch_configured, launch_traced, launch_with_faults, ControlCtx, Coordination, EngineMode,
-    Grid, Kernel, LaunchConfig, LaunchError, Step, WarpCtx, WARP_SPAN_CAP,
+    launch, ControlCtx, Coordination, EngineMode, Grid, Kernel, LaunchConfig, LaunchError, Step,
+    WarpCtx, WARP_SPAN_CAP,
 };
 pub use fault::{
     AtomicTamper, ChaosConfig, ChaosPlan, FaultKind, FaultPlan, FaultRecord, FaultSource,
@@ -48,10 +48,8 @@ pub use lanes::{LaneAddrs, LaneVals, LaneWrites, Lanes, MAX_LANES};
 pub use mem::{Buffer, GlobalMem, LocalMem, MemTraffic, TrafficSnapshot};
 pub use occupancy::{occupancy, KernelResources, Limiter, Occupancy};
 pub use queue::{
-    simulate_engines, simulate_queues, simulate_queues_dep, try_simulate_engines,
-    try_simulate_engines_at, try_simulate_queues_crash, try_simulate_queues_dep,
-    try_simulate_shards_at, Cmd, ECmd, EngineCrash, FleetTimeline, QCmd, QueueError, ShardLoad,
-    Span, Timeline,
+    lower, simulate, try_simulate_shards_at, Cmd, Des, ECmd, EngineCrash, FleetTimeline, QCmd,
+    QueueError, ShardLoad, Span, Timeline,
 };
 pub use report::{KernelStats, PipelineStats, TimeBounds};
 pub use sched::{

@@ -114,7 +114,7 @@ impl Timeline {
 
     /// Start time of queue `q`'s first span, or `None` when the queue issued
     /// no commands. `start − arrival` is a request's queue wait under
-    /// [`try_simulate_engines_at`].
+    /// [`Des::arrivals`].
     #[must_use]
     pub fn queue_start_s(&self, q: usize) -> Option<f64> {
         self.spans
@@ -225,21 +225,6 @@ impl QCmd {
     }
 }
 
-/// Greedy in-order list scheduling of `queues` on the device's engines.
-///
-/// Semantics: command `i` of queue `q` becomes *ready* when command `i−1` of
-/// the same queue finished; each engine runs one command at a time; among
-/// ready commands an engine picks the earliest-submitted (queue-major
-/// round-robin, matching driver FIFO behaviour).
-#[must_use]
-pub fn simulate_queues(dev: &DeviceSpec, queues: &[Vec<Cmd>]) -> Timeline {
-    let wrapped: Vec<Vec<QCmd>> = queues
-        .iter()
-        .map(|q| q.iter().cloned().map(QCmd::plain).collect())
-        .collect();
-    simulate_queues_dep(dev, &wrapped)
-}
-
 /// Why the DES could not complete a schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueueError {
@@ -300,41 +285,10 @@ impl std::fmt::Display for QueueError {
 
 impl std::error::Error for QueueError {}
 
-/// [`simulate_queues`] with cross-queue event dependencies.
-///
-/// # Panics
-/// Panics if a dependency points at a nonexistent command (a malformed
-/// schedule), or if dependencies deadlock (cycle). Fallible callers (and
-/// fault-injection campaigns) use [`try_simulate_queues_dep`] instead.
-#[must_use]
-pub fn simulate_queues_dep(dev: &DeviceSpec, queues: &[Vec<QCmd>]) -> Timeline {
-    match try_simulate_queues_dep(dev, queues, None) {
-        Ok(tl) => tl,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`simulate_queues_dep`] returning typed errors, with optional transfer
-/// fault injection: when `fault` fires an H2D/D2H failure, the matching
-/// transfer command errors out instead of completing, and the caller
-/// decides how to retry (re-simulating a single-shot plan succeeds; a
-/// chaos campaign keeps drawing, so callers bound their retries).
-///
-/// # Errors
-/// [`QueueError::BadDependency`] / [`QueueError::Deadlock`] on malformed
-/// schedules; [`QueueError::TransferFault`] when the fault source fires.
-pub fn try_simulate_queues_dep(
-    dev: &DeviceSpec,
-    queues: &[Vec<QCmd>],
-    fault: Option<&dyn FaultSource>,
-) -> Result<Timeline, QueueError> {
-    try_simulate_queues_crash(dev, queues, fault, None)
-}
-
-/// A scheduled mid-stream engine death for [`try_simulate_queues_crash`]:
-/// `engine` stops executing at `at_s` (seconds on the DES clock, including
-/// setup). Any command on that engine whose completion would land after
-/// `at_s` fails the schedule with [`QueueError::EngineCrash`].
+/// A scheduled mid-stream engine death: `engine` stops executing at `at_s`
+/// (seconds on the DES clock, including setup). Any command on that engine
+/// whose completion would land after `at_s` fails the schedule with
+/// [`QueueError::EngineCrash`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineCrash {
     /// The engine that dies (0 = H2D copy, 1 = D2H copy, 2 = compute).
@@ -343,28 +297,117 @@ pub struct EngineCrash {
     pub at_s: f64,
 }
 
-/// [`try_simulate_queues_dep`] with an optional mid-stream engine crash.
+/// One scheduled command: runs on an explicit engine for a given duration,
+/// optionally waiting on another command (cross-queue event).
+#[derive(Debug, Clone)]
+pub struct ECmd {
+    /// Engine id in `0..engines`.
+    pub engine: usize,
+    /// Duration, seconds.
+    pub duration_s: f64,
+    /// Label for the timeline (shared, cheap to clone per span).
+    pub label: Arc<str>,
+    /// Cross-queue event wait: `(queue, index)` of the prerequisite.
+    pub wait: Option<(usize, usize)>,
+    /// Transfer direction consulted by [`Des::fault`]: `Some(true)` for a
+    /// host-to-device copy, `Some(false)` for device-to-host, `None` for a
+    /// command no transfer fault can hit.
+    pub h2d: Option<bool>,
+}
+
+impl ECmd {
+    /// A command on `engine` with no event wait and no transfer direction.
+    #[must_use]
+    pub fn new(engine: usize, duration_s: f64, label: Arc<str>) -> Self {
+        Self { engine, duration_s, label, wait: None, h2d: None }
+    }
+}
+
+/// Lower device command queues onto the device's three engines (0 = H2D
+/// copy, 1 = D2H copy or the shared copy engine, 2 = compute), pricing each
+/// transfer on the device's PCIe link.
+#[must_use]
+pub fn lower(dev: &DeviceSpec, queues: &[Vec<QCmd>]) -> Vec<Vec<ECmd>> {
+    queues
+        .iter()
+        .map(|q| {
+            q.iter()
+                .map(|c| ECmd {
+                    engine: c.cmd.engine(dev),
+                    duration_s: c.cmd.duration(dev),
+                    label: c.cmd.label(),
+                    wait: c.wait,
+                    h2d: match c.cmd {
+                        Cmd::H2D { .. } => Some(true),
+                        Cmd::D2H { .. } => Some(false),
+                        Cmd::Kernel { .. } => None,
+                    },
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Everything one DES run takes: the engine set, the up-front setup time,
+/// the command queues, and the optional arrivals, transfer-fault source and
+/// engine crash.
+#[derive(Clone, Copy)]
+pub struct Des<'a> {
+    /// Number of engines; command engine ids must be below it.
+    pub engines: usize,
+    /// Up-front setup (queue creation) before any command may start.
+    pub setup_s: f64,
+    /// Command queues, each in order.
+    pub queues: &'a [Vec<ECmd>],
+    /// Per-queue arrival times: queue `q` may not start before
+    /// `arrivals[q]`; missing entries mean "available at `setup_s`". The
+    /// gap between a queue's arrival and its first span is its queue wait.
+    pub arrivals: &'a [f64],
+    /// Transfer fault source: when it fires on a command with a transfer
+    /// direction, the schedule fails with [`QueueError::TransferFault`].
+    pub fault: Option<&'a dyn FaultSource>,
+    /// Mid-stream engine death (see [`EngineCrash`]).
+    pub crash: Option<EngineCrash>,
+}
+
+impl<'a> Des<'a> {
+    /// `queues` on `engines` engines after `setup_s`, with no arrivals,
+    /// faults or crash.
+    #[must_use]
+    pub fn new(engines: usize, setup_s: f64, queues: &'a [Vec<ECmd>]) -> Self {
+        Self { engines, setup_s, queues, arrivals: &[], fault: None, crash: None }
+    }
+
+    /// [`lower`]ed queues on `dev`: its three engines, with every queue
+    /// paying the device's creation overhead up front (why throughput
+    /// degrades for large queue counts, §7.6).
+    #[must_use]
+    pub fn device(dev: &DeviceSpec, queues: &'a [Vec<ECmd>]) -> Self {
+        Self::new(3, dev.queue_create_overhead_s * queues.len() as f64, queues)
+    }
+}
+
+/// Greedy in-order list scheduling of the spec's queues on its engines.
 ///
-/// The DES schedules greedily as usual; the moment it would complete a
-/// command on the crashed engine past the crash instant, the whole schedule
-/// errors out with [`QueueError::EngineCrash`]. Everything scheduled up to
-/// that point was finished strictly before the crash and may be treated as
-/// durable by a journaling caller (the out-of-core streaming executor
-/// resumes from its last committed chunk rather than re-running the whole
-/// schedule).
+/// Semantics: command `i` of queue `q` becomes *ready* when command `i−1` of
+/// the same queue finished (and its queue arrived, and its event wait
+/// completed); each engine runs one command at a time; among ready commands
+/// the earliest start wins, ties going to the lowest queue id (queue-major
+/// round-robin, matching driver FIFO behaviour).
 ///
 /// # Errors
-/// The [`try_simulate_queues_dep`] errors, plus [`QueueError::EngineCrash`]
-/// when the crash preempts a command.
-pub fn try_simulate_queues_crash(
-    dev: &DeviceSpec,
-    queues: &[Vec<QCmd>],
-    fault: Option<&dyn FaultSource>,
-    crash: Option<EngineCrash>,
-) -> Result<Timeline, QueueError> {
-    let setup_s = dev.queue_create_overhead_s * queues.len() as f64;
-    let mut engine_free = [setup_s; 3];
-    let mut queue_ready: Vec<f64> = vec![setup_s; queues.len()];
+/// [`QueueError::BadDependency`] for an out-of-range wait target or engine
+/// id; [`QueueError::Deadlock`] when no queue can make progress;
+/// [`QueueError::TransferFault`] when the fault source fires;
+/// [`QueueError::EngineCrash`] when the crash preempts a command. Spans
+/// that finished before a crash are trustworthy — a journaling caller may
+/// treat them as durable.
+pub fn simulate(des: &Des<'_>) -> Result<Timeline, QueueError> {
+    let Des { engines, setup_s, queues, arrivals, fault, crash } = *des;
+    let mut engine_free = vec![setup_s; engines];
+    let mut queue_ready: Vec<f64> = (0..queues.len())
+        .map(|q| setup_s.max(arrivals.get(q).copied().unwrap_or(setup_s)))
+        .collect();
     let mut next_idx: Vec<usize> = vec![0; queues.len()];
     let mut end_time: Vec<Vec<Option<f64>>> =
         queues.iter().map(|q| vec![None; q.len()]).collect();
@@ -379,6 +422,9 @@ pub fn try_simulate_queues_crash(
             if i >= cmds.len() {
                 continue;
             }
+            if cmds[i].engine >= engines {
+                return Err(QueueError::BadDependency { queue: q, index: i });
+            }
             let dep_end = match cmds[i].wait {
                 None => setup_s,
                 Some((dq, di)) => {
@@ -391,153 +437,30 @@ pub fn try_simulate_queues_crash(
                     }
                 }
             };
-            let engine = cmds[i].cmd.engine(dev);
-            let start = queue_ready[q].max(engine_free[engine]).max(dep_end);
-            // Earliest start wins; tie → lowest queue id (submission order).
+            let start = queue_ready[q].max(engine_free[cmds[i].engine]).max(dep_end);
             if best.is_none_or(|(bs, bq)| start < bs || (start == bs && q < bq)) {
                 best = Some((start, q));
             }
         }
         let (start, q) = best.ok_or(QueueError::Deadlock)?;
         let i = next_idx[q];
-        let cmd = &queues[q][i].cmd;
-        if let Some(f) = fault {
-            let dir = match cmd {
-                Cmd::H2D { .. } => Some(true),
-                Cmd::D2H { .. } => Some(false),
-                Cmd::Kernel { .. } => None,
-            };
-            if let Some(h2d) = dir {
-                if f.on_transfer(h2d, q, i) {
-                    return Err(QueueError::TransferFault {
-                        queue: q,
-                        index: i,
-                        h2d,
-                        label: cmd.label(),
-                    });
-                }
+        let cmd = &queues[q][i];
+        if let (Some(f), Some(h2d)) = (fault, cmd.h2d) {
+            if f.on_transfer(h2d, q, i) {
+                return Err(QueueError::TransferFault {
+                    queue: q,
+                    index: i,
+                    h2d,
+                    label: cmd.label.clone(),
+                });
             }
         }
-        let engine = cmd.engine(dev);
-        let end = start + cmd.duration(dev);
+        let end = start + cmd.duration_s;
         if let Some(c) = crash {
-            if engine == c.engine && end > c.at_s {
+            if cmd.engine == c.engine && end > c.at_s {
                 return Err(QueueError::EngineCrash { engine: c.engine, at_s: c.at_s });
             }
         }
-        spans.push(Span { queue: q, index: i, engine, start_s: start, end_s: end, label: cmd.label() });
-        engine_free[engine] = end;
-        queue_ready[q] = end;
-        end_time[q][i] = Some(end);
-        next_idx[q] += 1;
-    }
-
-    let total_s = spans.iter().map(|s| s.end_s).fold(setup_s, f64::max);
-    Ok(Timeline { spans, total_s, setup_s })
-}
-
-/// A fully generic scheduled command for [`simulate_engines`]: runs on an
-/// explicit engine id for a given duration, optionally waiting on another
-/// command (cross-queue event).
-#[derive(Debug, Clone)]
-pub struct ECmd {
-    /// Engine id in `0..num_engines`.
-    pub engine: usize,
-    /// Duration, seconds.
-    pub duration_s: f64,
-    /// Label for the timeline (shared, cheap to clone per span).
-    pub label: Arc<str>,
-    /// Cross-queue event wait: `(queue, index)` of the prerequisite.
-    pub wait: Option<(usize, usize)>,
-}
-
-/// Generic in-order list scheduling over an arbitrary engine set — the
-/// multi-device generalisation of [`simulate_queues_dep`] (per-device
-/// compute engines plus shared or private PCIe links).
-///
-/// # Panics
-/// Panics on malformed dependencies (out of range or deadlocked) or an
-/// engine id out of range. Use [`try_simulate_engines`] for a typed error
-/// instead.
-#[must_use]
-pub fn simulate_engines(num_engines: usize, setup_s: f64, queues: &[Vec<ECmd>]) -> Timeline {
-    match try_simulate_engines(num_engines, setup_s, queues) {
-        Ok(tl) => tl,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`simulate_engines`] with malformed inputs reported as a typed
-/// [`QueueError`] instead of a panic.
-///
-/// # Errors
-/// [`QueueError::BadDependency`] for an out-of-range wait target or
-/// engine id; [`QueueError::Deadlock`] when no queue can make progress.
-pub fn try_simulate_engines(
-    num_engines: usize,
-    setup_s: f64,
-    queues: &[Vec<ECmd>],
-) -> Result<Timeline, QueueError> {
-    try_simulate_engines_at(num_engines, setup_s, queues, &[])
-}
-
-/// [`try_simulate_engines`] with per-queue **arrival times**: queue `q` may
-/// not start before `arrivals[q]` (missing entries mean "available at
-/// `setup_s`"). This is how the serving layer models admission: a request
-/// that arrives while the engines are busy starts late, and the gap between
-/// its arrival and its first span is its queue wait.
-///
-/// # Errors
-/// Same as [`try_simulate_engines`].
-pub fn try_simulate_engines_at(
-    num_engines: usize,
-    setup_s: f64,
-    queues: &[Vec<ECmd>],
-    arrivals: &[f64],
-) -> Result<Timeline, QueueError> {
-    let mut engine_free = vec![setup_s; num_engines];
-    let mut queue_ready: Vec<f64> = (0..queues.len())
-        .map(|q| setup_s.max(arrivals.get(q).copied().unwrap_or(setup_s)))
-        .collect();
-    let mut next_idx: Vec<usize> = vec![0; queues.len()];
-    let mut end_time: Vec<Vec<Option<f64>>> =
-        queues.iter().map(|q| vec![None; q.len()]).collect();
-    let mut spans = Vec::new();
-    let total_cmds: usize = queues.iter().map(Vec::len).sum();
-
-    for _ in 0..total_cmds {
-        let mut best: Option<(f64, usize)> = None;
-        for (q, cmds) in queues.iter().enumerate() {
-            let i = next_idx[q];
-            if i >= cmds.len() {
-                continue;
-            }
-            if cmds[i].engine >= num_engines {
-                return Err(QueueError::BadDependency { queue: q, index: i });
-            }
-            let dep_end = match cmds[i].wait {
-                None => setup_s,
-                Some((dq, di)) => {
-                    if dq >= queues.len() || di >= queues[dq].len() {
-                        return Err(QueueError::BadDependency { queue: q, index: i });
-                    }
-                    match end_time[dq][di] {
-                        Some(t) => t,
-                        None => continue,
-                    }
-                }
-            };
-            let start = queue_ready[q].max(engine_free[cmds[i].engine]).max(dep_end);
-            if best.is_none_or(|(bs, bq)| start < bs || (start == bs && q < bq)) {
-                best = Some((start, q));
-            }
-        }
-        let Some((start, q)) = best else {
-            return Err(QueueError::Deadlock);
-        };
-        let i = next_idx[q];
-        let cmd = &queues[q][i];
-        let end = start + cmd.duration_s;
         spans.push(Span {
             queue: q,
             index: i,
@@ -557,8 +480,7 @@ pub fn try_simulate_engines_at(
 }
 
 /// One shard's DES load for [`try_simulate_shards_at`]: its command queues
-/// and per-queue arrival times (same conventions as
-/// [`try_simulate_engines_at`]).
+/// and per-queue arrival times (same conventions as [`Des::arrivals`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ShardLoad<'a> {
     /// Command queues, one per batch.
@@ -581,8 +503,7 @@ pub struct FleetTimeline {
 /// Simulate several shards' rounds at once. Each shard owns an independent
 /// block of `num_engines` engines — shards never contend with each other,
 /// only their own queues do — so per-shard timelines are identical to
-/// running [`try_simulate_engines_at`] per shard, and the fleet makespan is
-/// their max.
+/// [`simulate`] per shard, and the fleet makespan is their max.
 ///
 /// # Errors
 /// The first shard's [`QueueError`], in input order.
@@ -594,7 +515,8 @@ pub fn try_simulate_shards_at(
     let mut timelines = Vec::with_capacity(shards.len());
     let mut makespan_s = setup_s;
     for shard in shards {
-        let t = try_simulate_engines_at(num_engines, setup_s, shard.queues, shard.arrivals)?;
+        let des = Des { arrivals: shard.arrivals, ..Des::new(num_engines, setup_s, shard.queues) };
+        let t = simulate(&des)?;
         makespan_s = makespan_s.max(t.total_s);
         timelines.push(t);
     }
@@ -610,11 +532,32 @@ mod tests {
         Cmd::Kernel { time_s: t, name: "k".into() }
     }
 
+    /// Device queues without event waits, faults or crash.
+    fn run_device(dev: &DeviceSpec, queues: &[Vec<Cmd>]) -> Timeline {
+        let wrapped: Vec<Vec<QCmd>> =
+            queues.iter().map(|q| q.iter().cloned().map(QCmd::plain).collect()).collect();
+        run_device_crash(dev, &wrapped, None).unwrap()
+    }
+
+    fn run_device_crash(
+        dev: &DeviceSpec,
+        queues: &[Vec<QCmd>],
+        crash: Option<EngineCrash>,
+    ) -> Result<Timeline, QueueError> {
+        let lowered = lower(dev, queues);
+        simulate(&Des { crash, ..Des::device(dev, &lowered) })
+    }
+
+    fn x(engine: usize, duration_s: f64) -> Vec<ECmd> {
+        vec![ECmd::new(engine, duration_s, "x".into())]
+    }
+
     #[test]
     fn single_queue_serialises() {
         let dev = DeviceSpec::tesla_k20();
         let mb = 10.0 * 1e6;
-        let tl = simulate_queues(&dev, &[vec![Cmd::H2D { bytes: mb }, kernel(0.004), Cmd::D2H { bytes: mb }]]);
+        let q = vec![Cmd::H2D { bytes: mb }, kernel(0.004), Cmd::D2H { bytes: mb }];
+        let tl = run_device(&dev, &[q]);
         let t_copy = dev.pcie.transfer_time(mb);
         let expect = dev.queue_create_overhead_s + t_copy + 0.004 + t_copy;
         assert!((tl.total_s - expect).abs() < 1e-9, "{} vs {expect}", tl.total_s);
@@ -626,7 +569,7 @@ mod tests {
         // Queue 0: long kernel; queue 1: D2H copy — different engines, so
         // they overlap and the makespan is max, not sum.
         let t_copy = dev.pcie.transfer_time(50e6);
-        let tl = simulate_queues(&dev, &[vec![kernel(0.02)], vec![Cmd::D2H { bytes: 50e6 }]]);
+        let tl = run_device(&dev, &[vec![kernel(0.02)], vec![Cmd::D2H { bytes: 50e6 }]]);
         let expect = tl.setup_s + 0.02f64.max(t_copy);
         assert!((tl.total_s - expect).abs() < 1e-9);
     }
@@ -634,7 +577,7 @@ mod tests {
     #[test]
     fn same_engine_commands_serialise_across_queues() {
         let dev = DeviceSpec::tesla_k20();
-        let tl = simulate_queues(&dev, &[vec![kernel(0.01)], vec![kernel(0.01)]]);
+        let tl = run_device(&dev, &[vec![kernel(0.01)], vec![kernel(0.01)]]);
         assert!((tl.total_s - (tl.setup_s + 0.02)).abs() < 1e-9);
     }
 
@@ -644,25 +587,25 @@ mod tests {
         let gtx = DeviceSpec::gtx580(); // 1 copy engine
         let queues = vec![vec![Cmd::H2D { bytes: 50e6 }], vec![Cmd::D2H { bytes: 50e6 }]];
         let t = k20.pcie.transfer_time(50e6);
-        let tl_k20 = simulate_queues(&k20, &queues);
+        let tl_k20 = run_device(&k20, &queues);
         assert!((tl_k20.total_s - (tl_k20.setup_s + t)).abs() < 1e-9, "overlapped");
         let t_gtx = gtx.pcie.transfer_time(50e6);
-        let tl_gtx = simulate_queues(&gtx, &queues);
+        let tl_gtx = run_device(&gtx, &queues);
         assert!((tl_gtx.total_s - (tl_gtx.setup_s + 2.0 * t_gtx)).abs() < 1e-9, "serialised");
     }
 
     #[test]
     fn queue_creation_overhead_scales() {
         let dev = DeviceSpec::tesla_k20();
-        let one = simulate_queues(&dev, &[vec![kernel(0.001)]]);
-        let many = simulate_queues(&dev, &(0..16).map(|_| vec![kernel(0.001)]).collect::<Vec<_>>());
+        let one = run_device(&dev, &[vec![kernel(0.001)]]);
+        let many = run_device(&dev, &(0..16).map(|_| vec![kernel(0.001)]).collect::<Vec<_>>());
         assert!(many.setup_s > one.setup_s * 10.0);
     }
 
     #[test]
     fn in_order_within_queue() {
         let dev = DeviceSpec::tesla_k20();
-        let tl = simulate_queues(&dev, &[vec![kernel(0.01), Cmd::D2H { bytes: 1e6 }]]);
+        let tl = run_device(&dev, &[vec![kernel(0.01), Cmd::D2H { bytes: 1e6 }]]);
         // D2H must start after the kernel even though engines differ.
         assert!(tl.spans[1].start_s >= tl.spans[0].end_s - 1e-12);
     }
@@ -670,7 +613,7 @@ mod tests {
     #[test]
     fn gantt_renders_lanes() {
         let dev = DeviceSpec::tesla_k20();
-        let tl = simulate_queues(
+        let tl = run_device(
             &dev,
             &[vec![Cmd::H2D { bytes: 10e6 }, kernel(0.004), Cmd::D2H { bytes: 10e6 }]],
         );
@@ -683,42 +626,39 @@ mod tests {
     #[test]
     fn generic_engines_overlap_and_serialise() {
         // Two queues on distinct engines overlap; same engine serialises.
-        let q = |e: usize| {
-            vec![ECmd { engine: e, duration_s: 1.0, label: "x".into(), wait: None }]
-        };
-        let tl = simulate_engines(2, 0.0, &[q(0), q(1)]);
+        let tl = simulate(&Des::new(2, 0.0, &[x(0, 1.0), x(1, 1.0)])).unwrap();
         assert!((tl.total_s - 1.0).abs() < 1e-12, "distinct engines overlap");
-        let tl = simulate_engines(2, 0.0, &[q(0), q(0)]);
+        let tl = simulate(&Des::new(2, 0.0, &[x(0, 1.0), x(0, 1.0)])).unwrap();
         assert!((tl.total_s - 2.0).abs() < 1e-12, "same engine serialises");
     }
 
     #[test]
     fn generic_engines_honour_dependencies() {
         let queues = vec![
-            vec![ECmd { engine: 0, duration_s: 1.0, label: "a".into(), wait: None }],
-            vec![ECmd { engine: 1, duration_s: 1.0, label: "b".into(), wait: Some((0, 0)) }],
+            vec![ECmd::new(0, 1.0, "a".into())],
+            vec![ECmd { wait: Some((0, 0)), ..ECmd::new(1, 1.0, "b".into()) }],
         ];
-        let tl = simulate_engines(2, 0.0, &queues);
+        let tl = simulate(&Des::new(2, 0.0, &queues)).unwrap();
         assert!((tl.total_s - 2.0).abs() < 1e-12, "b waits for a despite free engine");
     }
 
     #[test]
     fn arrivals_delay_queues_and_expose_waits() {
-        let q = |e: usize| {
-            vec![ECmd { engine: e, duration_s: 1.0, label: "x".into(), wait: None }]
+        let at = |engines, setup_s, queues: &[Vec<ECmd>], arrivals| {
+            simulate(&Des { arrivals, ..Des::new(engines, setup_s, queues) }).unwrap()
         };
         // Same engine, second queue arrives at t=0.25: it still waits for
         // the engine (start 1.0), so its queue wait is 0.75.
-        let tl = try_simulate_engines_at(1, 0.0, &[q(0), q(0)], &[0.0, 0.25]).unwrap();
+        let tl = at(1, 0.0, &[x(0, 1.0), x(0, 1.0)], &[0.0, 0.25]);
         assert!((tl.total_s - 2.0).abs() < 1e-12);
         assert!((tl.queue_start_s(1).unwrap() - 1.0).abs() < 1e-12);
         // Distinct engines, late arrival dominates: starts exactly on arrival.
-        let tl = try_simulate_engines_at(2, 0.0, &[q(0), q(1)], &[0.0, 0.5]).unwrap();
+        let tl = at(2, 0.0, &[x(0, 1.0), x(1, 1.0)], &[0.0, 0.5]);
         assert!((tl.queue_start_s(1).unwrap() - 0.5).abs() < 1e-12);
         assert!((tl.total_s - 1.5).abs() < 1e-12);
-        // No arrivals → identical to the plain variant.
-        let a = try_simulate_engines(2, 0.1, &[q(0), q(1)]).unwrap();
-        let b = try_simulate_engines_at(2, 0.1, &[q(0), q(1)], &[]).unwrap();
+        // Arrivals at or before setup → identical to no arrivals.
+        let a = simulate(&Des::new(2, 0.1, &[x(0, 1.0), x(1, 1.0)])).unwrap();
+        let b = at(2, 0.1, &[x(0, 1.0), x(1, 1.0)], &[0.0, 0.1]);
         assert_eq!(a.total_s, b.total_s);
         // An empty queue has no first span.
         assert_eq!(tl.queue_start_s(7), None);
@@ -731,7 +671,7 @@ mod tests {
         let dev = DeviceSpec::tesla_k20();
         let total_kernel = 0.004;
         let total_bytes = 51.8e6;
-        let sync = simulate_queues(
+        let sync = run_device(
             &dev,
             &[vec![kernel(total_kernel), Cmd::D2H { bytes: total_bytes }]],
         );
@@ -744,7 +684,7 @@ mod tests {
                 ]
             })
             .collect();
-        let asy = simulate_queues(&dev, &chunks);
+        let asy = run_device(&dev, &chunks);
         assert!(asy.total_s < sync.total_s, "async {} < sync {}", asy.total_s, sync.total_s);
     }
 
@@ -756,19 +696,19 @@ mod tests {
             QCmd::plain(kernel(0.004)),
             QCmd::plain(Cmd::D2H { bytes: 10e6 }),
         ]];
-        let healthy = try_simulate_queues_crash(&dev, &queues, None, None).unwrap();
+        let healthy = run_device_crash(&dev, &queues, None).unwrap();
         // Crash the D2H engine just before the final copy completes.
         let crash = EngineCrash { engine: 1, at_s: healthy.total_s - 1e-6 };
-        let err = try_simulate_queues_crash(&dev, &queues, None, Some(crash)).unwrap_err();
+        let err = run_device_crash(&dev, &queues, Some(crash)).unwrap_err();
         assert_eq!(err, QueueError::EngineCrash { engine: 1, at_s: crash.at_s });
         // A crash after the makespan never fires.
         let late = EngineCrash { engine: 1, at_s: healthy.total_s + 1.0 };
-        let tl = try_simulate_queues_crash(&dev, &queues, None, Some(late)).unwrap();
+        let tl = run_device_crash(&dev, &queues, Some(late)).unwrap();
         assert_eq!(tl.spans.len(), 3);
         // A crash on an unused engine never fires either.
         let other = EngineCrash { engine: 1, at_s: 0.0 };
         let compute_only: Vec<Vec<QCmd>> = vec![vec![QCmd::plain(kernel(0.01))]];
-        assert!(try_simulate_queues_crash(&dev, &compute_only, None, Some(other)).is_ok());
+        assert!(run_device_crash(&dev, &compute_only, Some(other)).is_ok());
     }
 
     #[test]
@@ -778,20 +718,19 @@ mod tests {
             vec![QCmd::plain(Cmd::H2D { bytes: 5e6 }), QCmd::plain(kernel(0.002))],
             vec![QCmd::after(kernel(0.003), 0, 1), QCmd::plain(Cmd::D2H { bytes: 5e6 })],
         ];
-        let a = try_simulate_queues_dep(&dev, &queues, None).unwrap();
-        let b = try_simulate_queues_crash(&dev, &queues, None, None).unwrap();
+        let lowered = lower(&dev, &queues);
+        let a = simulate(&Des::device(&dev, &lowered)).unwrap();
+        let late = EngineCrash { engine: 2, at_s: f64::INFINITY };
+        let b = run_device_crash(&dev, &queues, Some(late)).unwrap();
         assert_eq!(a.total_s, b.total_s);
         assert_eq!(a.spans.len(), b.spans.len());
     }
 
     #[test]
     fn shard_timelines_match_independent_runs() {
-        let q = |e: usize, d: f64| {
-            vec![ECmd { engine: e, duration_s: d, label: "x".into(), wait: None }]
-        };
-        let s0 = [q(0, 1.0), q(0, 2.0)];
+        let s0 = [x(0, 1.0), x(0, 2.0)];
         let a0 = [0.0, 0.5];
-        let s1 = [q(1, 4.0)];
+        let s1 = [x(1, 4.0)];
         let a1 = [0.25];
         let fleet = try_simulate_shards_at(
             2,
@@ -804,8 +743,8 @@ mod tests {
         .unwrap();
         // Shards own independent engine blocks: each timeline equals the
         // single-shard simulation of its own load.
-        let solo0 = try_simulate_engines_at(2, 0.1, &s0, &a0).unwrap();
-        let solo1 = try_simulate_engines_at(2, 0.1, &s1, &a1).unwrap();
+        let solo0 = simulate(&Des { arrivals: &a0, ..Des::new(2, 0.1, &s0) }).unwrap();
+        let solo1 = simulate(&Des { arrivals: &a1, ..Des::new(2, 0.1, &s1) }).unwrap();
         assert_eq!(fleet.shards.len(), 2);
         assert_eq!(fleet.shards[0].total_s, solo0.total_s);
         assert_eq!(fleet.shards[1].total_s, solo1.total_s);
@@ -820,7 +759,7 @@ mod tests {
         assert!(fleet.shards.is_empty());
         assert_eq!(fleet.makespan_s, 0.3);
         // A bad engine index in any shard fails the whole call.
-        let bad = [vec![ECmd { engine: 9, duration_s: 1.0, label: "x".into(), wait: None }]];
+        let bad = [x(9, 1.0)];
         let err = try_simulate_shards_at(
             1,
             0.0,

@@ -8,7 +8,7 @@
 //! them without touching each kernel call site.
 
 use crate::device::DeviceSpec;
-use crate::exec::{launch_configured, EngineMode, Kernel, LaunchConfig, LaunchError};
+use crate::exec::{launch, EngineMode, Kernel, LaunchConfig, LaunchError};
 use crate::fault::{ChaosPlan, FaultPlan, FaultRecord, FaultSource};
 use crate::mem::{Buffer, GlobalMem, MemTraffic, TrafficSnapshot};
 use crate::report::KernelStats;
@@ -74,12 +74,6 @@ impl Sim {
             launch_seq: AtomicU64::new(0),
             traffic: MemTraffic::default(),
         }
-    }
-
-    /// Convenience: memory sized to hold `words` plus `slack_words`.
-    #[must_use]
-    pub fn with_room_for(device: DeviceSpec, words: usize, slack_words: usize) -> Self {
-        Self::new(device, words + slack_words)
     }
 
     /// The device model.
@@ -294,30 +288,22 @@ impl Sim {
         }
     }
 
-    /// Launch a kernel under the sim's scheduling policy, watchdog, and
-    /// armed fault source (if any).
+    /// Launch a kernel under the sim's scheduling policy, watchdog, engine
+    /// mode and armed fault source (if any), recording onto `rec`; `t0_s`
+    /// is the launch's start on the cumulative DES clock.
     ///
     /// # Errors
     /// Propagates [`LaunchError`] for infeasible launches,
     /// [`LaunchError::Aborted`] when an armed fault source kills the
     /// kernel, or [`LaunchError::Stalled`] when the watchdog trips.
-    pub fn launch<K: Kernel>(&self, kernel: &K) -> Result<KernelStats, LaunchError> {
-        self.launch_rec(kernel, &ipt_obs::NoopRecorder, 0.0)
-    }
-
-    /// [`Sim::launch`] instrumented with a [`Recorder`]; `t0_s` is the
-    /// launch's start on the cumulative DES clock.
-    ///
-    /// # Errors
-    /// Same as [`Sim::launch`].
-    pub fn launch_rec<K: Kernel, R: Recorder>(
+    pub fn launch<K: Kernel, R: Recorder>(
         &self,
         kernel: &K,
         rec: &R,
         t0_s: f64,
     ) -> Result<KernelStats, LaunchError> {
         let mut sched = self.next_sched();
-        launch_configured(
+        launch(
             &self.device,
             &self.mem,
             kernel,
@@ -344,7 +330,7 @@ impl Sim {
         kernel: &K,
         sched: &mut dyn Scheduler,
     ) -> Result<KernelStats, LaunchError> {
-        launch_configured(
+        launch(
             &self.device,
             &self.mem,
             kernel,
@@ -354,16 +340,10 @@ impl Sim {
                 watchdog: self.watchdog,
                 engine: EngineMode::Serial,
             },
-            rec_noop(),
+            &ipt_obs::NoopRecorder,
             0.0,
         )
     }
-}
-
-/// Shared `&NoopRecorder` for unrecorded configurable launches.
-fn rec_noop() -> &'static ipt_obs::NoopRecorder {
-    static NOOP: ipt_obs::NoopRecorder = ipt_obs::NoopRecorder;
-    &NOOP
 }
 
 #[cfg(test)]
@@ -457,7 +437,7 @@ mod tests {
         let data: Vec<u32> = (0..n as u32).collect();
         sim.upload_u32(b, &data);
         let k = IncKernel { buf: b, n, wgs: 8, wg_size: 64 };
-        let stats = sim.launch(&k).unwrap();
+        let stats = sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).unwrap();
         let got = sim.download_u32(b);
         let want: Vec<u32> = data.iter().map(|v| v + 1).collect();
         assert_eq!(got, want);
@@ -475,7 +455,7 @@ mod tests {
         let mut sim = Sim::new(DeviceSpec::tesla_k20(), 512);
         let b = sim.alloc(256);
         let k = IncKernel { buf: b, n: 256, wgs: 2, wg_size: 64 };
-        let stats = sim.launch(&k).unwrap();
+        let stats = sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).unwrap();
         assert_eq!(stats.name, "inc");
         assert!(stats.gld_transactions > 0 && stats.gst_transactions > 0);
     }

@@ -49,7 +49,7 @@ fn run_pattern<F: Fn(&mut WarpCtx<'_>) + Sync>(
     let mut sim = Sim::new(DeviceSpec::tesla_k20(), 4096);
     let _buf = sim.alloc(2048);
     let k = PatternKernel { local_words, body };
-    sim.launch(&k).unwrap()
+    sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).unwrap()
 }
 
 #[test]
@@ -158,7 +158,7 @@ fn execution_is_deterministic() {
                 let _ = ctx.local_atomic_or(&ops);
             },
         };
-        let s = sim.launch(&k).unwrap();
+        let s = sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).unwrap();
         (s.time_s, s.position_conflicts, s.bank_conflicts, s.total_chain_cycles)
     };
     assert_eq!(run(), run());
@@ -220,7 +220,7 @@ fn barrier_synchronises_two_warps() {
     }
     let mut sim = Sim::new(DeviceSpec::tesla_k20(), 256);
     let buf = sim.alloc(64);
-    let stats = sim.launch(&TwoWarp { buf }).unwrap();
+    let stats = sim.launch(&TwoWarp { buf }, &ipt_obs::NoopRecorder, 0.0).unwrap();
     assert!(stats.barriers >= 1);
     let out = sim.download_u32(buf);
     for (l, item) in out.iter().enumerate().take(32) {

@@ -95,7 +95,7 @@ fn fresh(policy: SchedPolicy) -> (Sim, AtomicAddKernel) {
 fn scheduled_round_robin_is_bit_identical_to_fast_path() {
     // Fast path: no scheduler object at all.
     let (fast_sim, fast_k) = fresh(SchedPolicy::RoundRobin);
-    let fast_stats = fast_sim.launch(&fast_k).expect("fast path");
+    let fast_stats = fast_sim.launch(&fast_k, &ipt_obs::NoopRecorder, 0.0).expect("fast path");
     let fast_mem = (fast_sim.download_u32(fast_k.acc), fast_sim.download_u32(fast_k.done));
 
     // Scheduled path: an explicit RoundRobin through the scheduler plumbing.
@@ -119,7 +119,7 @@ fn scheduled_round_robin_is_bit_identical_to_fast_path() {
 fn pct_policy_same_seed_same_execution() {
     let run = |seed| {
         let (sim, k) = fresh(SchedPolicy::Pct { seed, depth: 3 });
-        let stats = sim.launch(&k).expect("pct launch");
+        let stats = sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).expect("pct launch");
         (sim.download_u32(k.acc), sim.download_u32(k.done), stats.time_s)
     };
     let a = run(7);
@@ -145,7 +145,7 @@ fn watchdog_converts_livelock_into_typed_stall() {
     let mut sim = Sim::new(DeviceSpec::tesla_k20(), 64);
     let buf = sim.alloc(8);
     sim.set_watchdog(Some(Watchdog::per_warp(40)));
-    match sim.launch(&SpinKernel { buf }) {
+    match sim.launch(&SpinKernel { buf }, &ipt_obs::NoopRecorder, 0.0) {
         Err(LaunchError::Stalled { kernel, lane, steps }) => {
             assert_eq!(kernel, "spin-forever");
             assert!(lane < 2, "one WG of 2 warps; got lane {lane}");
@@ -157,14 +157,14 @@ fn watchdog_converts_livelock_into_typed_stall() {
     // Total-step budget trips too, naming the busiest warp.
     sim.set_watchdog(Some(Watchdog::new(u64::MAX, 64)));
     assert!(matches!(
-        sim.launch(&SpinKernel { buf }),
+        sim.launch(&SpinKernel { buf }, &ipt_obs::NoopRecorder, 0.0),
         Err(LaunchError::Stalled { .. })
     ));
 
     // Disarmed + finite kernel: unaffected.
     sim.set_watchdog(None);
     let (ok_sim, k) = fresh(SchedPolicy::RoundRobin);
-    assert!(ok_sim.launch(&k).is_ok());
+    assert!(ok_sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).is_ok());
 }
 
 #[test]
@@ -178,7 +178,10 @@ fn chaos_campaign_is_deterministic_through_sim() {
         sim.zero(acc);
         sim.zero(done);
         let k = AtomicAddKernel { acc, done, wgs: 4, wg_size: 64, per_warp: 9 };
-        let outcome = sim.launch(&k).map(|s| s.time_s).map_err(|e| e.to_string());
+        let outcome = sim
+            .launch(&k, &ipt_obs::NoopRecorder, 0.0)
+            .map(|s| s.time_s)
+            .map_err(|e| e.to_string());
         (outcome, sim.fault_records(), sim.download_u32(acc))
     };
     let a = run(3);

@@ -10,7 +10,7 @@ use gpu_sim::{DeviceSpec, Sim};
 use ipt_core::stages::{StagePlan, TileConfig};
 use ipt_core::tiles::{all_tiles, TileHeuristic};
 use ipt_core::Matrix;
-use ipt_obs::{Counter, NoopRecorder, Recorder};
+use ipt_obs::{Counter, Recorder};
 use serde::Serialize;
 
 /// One measured tile configuration.
@@ -127,24 +127,12 @@ pub fn measure_tile(
 }
 
 /// Exhaustively measure every divisor tile of `rows × cols` (optionally
-/// capped to `max_dim` per dimension to keep sweeps tractable). Sorted by
-/// descending throughput.
+/// capped to `max_dim` per dimension to keep sweeps tractable), sorted by
+/// descending throughput, with the search's [`TuneLog`]; every measurement
+/// is recorded onto `rec`. `pruned_out` counts divisor tiles the `max_dim`
+/// cap excluded.
 #[must_use]
-pub fn exhaustive_search(
-    dev: &DeviceSpec,
-    rows: usize,
-    cols: usize,
-    max_dim: usize,
-    opts: &GpuOptions,
-) -> Vec<TilePoint> {
-    exhaustive_search_rec(dev, rows, cols, max_dim, opts, &NoopRecorder).0
-}
-
-/// [`exhaustive_search`] instrumented with a [`Recorder`], returning the
-/// [`TuneLog`] alongside the measurements. `pruned_out` counts divisor
-/// tiles the `max_dim` cap excluded.
-#[must_use]
-pub fn exhaustive_search_rec<R: Recorder>(
+pub fn exhaustive_search<R: Recorder>(
     dev: &DeviceSpec,
     rows: usize,
     cols: usize,
@@ -166,24 +154,12 @@ pub fn exhaustive_search_rec<R: Recorder>(
     (out, log)
 }
 
-/// Measure only the §7.4 pruned candidates. Sorted by descending
-/// throughput.
+/// Measure only the §7.4 pruned candidates, sorted by descending
+/// throughput, with the search's [`TuneLog`]; every measurement is recorded
+/// onto `rec`. `pruned_out` counts divisor tiles the §7.4 heuristic refused
+/// to measure — the pruning's savings.
 #[must_use]
-pub fn pruned_search(
-    dev: &DeviceSpec,
-    rows: usize,
-    cols: usize,
-    heuristic: &TileHeuristic,
-    opts: &GpuOptions,
-) -> Vec<TilePoint> {
-    pruned_search_rec(dev, rows, cols, heuristic, opts, &NoopRecorder).0
-}
-
-/// [`pruned_search`] instrumented with a [`Recorder`], returning the
-/// [`TuneLog`] alongside the measurements. `pruned_out` counts divisor
-/// tiles the §7.4 heuristic refused to measure — the pruning's savings.
-#[must_use]
-pub fn pruned_search_rec<R: Recorder>(
+pub fn pruned_search<R: Recorder>(
     dev: &DeviceSpec,
     rows: usize,
     cols: usize,
@@ -204,7 +180,7 @@ pub fn pruned_search_rec<R: Recorder>(
 
 /// Pick a tile for `rows × cols`, deterministically, never panicking.
 ///
-/// Runs [`pruned_search_rec`] first; when the §7.4 candidate set measures
+/// Runs [`pruned_search`] first; when the §7.4 candidate set measures
 /// empty (prime dimensions, degenerate bands, every candidate infeasible),
 /// falls back to [`TileHeuristic::select`]'s nearest-divisor choice without
 /// measurement — the fallback is recorded in the returned [`TuneLog`]
@@ -212,7 +188,7 @@ pub fn pruned_search_rec<R: Recorder>(
 /// trace event, so serving-layer plans built from it stay auditable.
 /// Returns `(None, log)` only when the shape has no usable tile at all.
 #[must_use]
-pub fn choose_tile_rec<R: Recorder>(
+pub fn choose_tile<R: Recorder>(
     dev: &DeviceSpec,
     rows: usize,
     cols: usize,
@@ -220,7 +196,7 @@ pub fn choose_tile_rec<R: Recorder>(
     opts: &GpuOptions,
     rec: &R,
 ) -> (Option<TileConfig>, TuneLog) {
-    let (points, mut log) = pruned_search_rec(dev, rows, cols, heuristic, opts, rec);
+    let (points, mut log) = pruned_search(dev, rows, cols, heuristic, opts, rec);
     if let Some(best) = points.first() {
         return (Some(best.tile), log);
     }
@@ -267,7 +243,7 @@ fn measure_c2r_wg(dev: &DeviceSpec, rows: usize, cols: usize, wg: usize) -> Opti
 ///
 /// [`Scheme::C2R`]: ipt_core::Scheme::C2R
 #[must_use]
-pub fn choose_c2r_wg_rec<R: Recorder>(
+pub fn choose_c2r_wg<R: Recorder>(
     dev: &DeviceSpec,
     rows: usize,
     cols: usize,
@@ -319,6 +295,7 @@ pub fn choose_c2r_wg_rec<R: Recorder>(
 mod tests {
     use super::*;
     use crate::opts::GpuOptions;
+    use ipt_obs::NoopRecorder;
 
     // A scaled-down 7200×1800 with the same 4:1 aspect and rich divisor
     // structure.
@@ -328,11 +305,11 @@ mod tests {
     #[test]
     fn c2r_wg_sweep_is_deterministic_and_respects_device_limits() {
         let dev = DeviceSpec::hd7750(); // admits wg ≤ 256
-        let (wg, log) = choose_c2r_wg_rec(&dev, 127, 61, &NoopRecorder);
+        let (wg, log) = choose_c2r_wg(&dev, 127, 61, &NoopRecorder);
         assert!(wg <= dev.max_threads_per_wg);
         assert!(log.measured >= 1, "at least one candidate must measure");
         assert_eq!(log.chosen.map(|c| c.m), Some(wg), "log records the winner");
-        let (again, _) = choose_c2r_wg_rec(&dev, 127, 61, &NoopRecorder);
+        let (again, _) = choose_c2r_wg(&dev, 127, 61, &NoopRecorder);
         assert_eq!(wg, again, "sweep is deterministic");
     }
 
@@ -340,7 +317,7 @@ mod tests {
     fn exhaustive_finds_points() {
         let dev = DeviceSpec::tesla_k20();
         let opts = GpuOptions::tuned_for(&dev);
-        let pts = exhaustive_search(&dev, ROWS, COLS, 96, &opts);
+        let pts = exhaustive_search(&dev, ROWS, COLS, 96, &opts, &NoopRecorder).0;
         assert!(pts.len() > 10);
         // Sorted descending.
         for w in pts.windows(2) {
@@ -353,9 +330,9 @@ mod tests {
         // §7.4: the pruned set yields at least 80 % of the exhaustive best.
         let dev = DeviceSpec::tesla_k20();
         let opts = GpuOptions::tuned_for(&dev);
-        let all = exhaustive_search(&dev, ROWS, COLS, 181, &opts);
+        let all = exhaustive_search(&dev, ROWS, COLS, 181, &opts, &NoopRecorder).0;
         let h = TileHeuristic { shared_capacity_words: 3600, preferred_lo: 30, preferred_hi: 100 };
-        let pruned = pruned_search(&dev, ROWS, COLS, &h, &opts);
+        let pruned = pruned_search(&dev, ROWS, COLS, &h, &opts, &NoopRecorder).0;
         assert!(!pruned.is_empty());
         let best = all[0].gbps;
         let pruned_best = pruned[0].gbps;
@@ -371,7 +348,7 @@ mod tests {
         let opts = GpuOptions::tuned_for(&dev);
         let rec = ipt_obs::TraceRecorder::new();
         let h = TileHeuristic { shared_capacity_words: 3600, preferred_lo: 30, preferred_hi: 100 };
-        let (pts, log) = pruned_search_rec(&dev, ROWS, COLS, &h, &opts, &rec);
+        let (pts, log) = pruned_search(&dev, ROWS, COLS, &h, &opts, &rec);
         assert_eq!(log.considered, log.measured + log.rejected_infeasible);
         assert_eq!(log.measured, pts.len());
         assert!(log.pruned_out > 0, "the §7.4 heuristic must actually prune");
@@ -399,14 +376,14 @@ mod tests {
         let dev = DeviceSpec::tesla_k20();
         let opts = GpuOptions::tuned_for(&dev);
         let h = TileHeuristic { shared_capacity_words: 3600, preferred_lo: 30, preferred_hi: 100 };
-        let (tile, log) = choose_tile_rec(&dev, ROWS, COLS, &h, &opts, &NoopRecorder);
+        let (tile, log) = choose_tile(&dev, ROWS, COLS, &h, &opts, &NoopRecorder);
         let tile = tile.expect("720x180 has pruned candidates");
         assert!(log.measured > 0);
         let chosen = log.chosen.expect("measured search records a winner");
         assert_eq!((chosen.m, chosen.n), (tile.m, tile.n));
         assert!(chosen.gbps > 0.0);
         // Determinism: same inputs, same tile.
-        let (again, _) = choose_tile_rec(&dev, ROWS, COLS, &h, &opts, &NoopRecorder);
+        let (again, _) = choose_tile(&dev, ROWS, COLS, &h, &opts, &NoopRecorder);
         assert_eq!(again, Some(tile));
     }
 
@@ -420,7 +397,7 @@ mod tests {
         let h = TileHeuristic::default();
         assert!(h.pruned_candidates(48, 36).is_empty(), "precondition: empty pruned set");
         let rec = ipt_obs::TraceRecorder::new();
-        let (tile, log) = choose_tile_rec(&dev, 48, 36, &h, &opts, &rec);
+        let (tile, log) = choose_tile(&dev, 48, 36, &h, &opts, &rec);
         let tile = tile.expect("48x36 has feasible tiles");
         assert_eq!(Some(tile), h.select(48, 36), "fallback is the heuristic's pick");
         assert_eq!(log.measured, 0, "fallback tile is unmeasured");
@@ -436,7 +413,7 @@ mod tests {
         let dev = DeviceSpec::tesla_k20();
         let opts = GpuOptions::tuned_for(&dev);
         let (tile, log) =
-            choose_tile_rec(&dev, 127, 61, &TileHeuristic::default(), &opts, &NoopRecorder);
+            choose_tile(&dev, 127, 61, &TileHeuristic::default(), &opts, &NoopRecorder);
         assert_eq!(tile, None, "prime dims have no nontrivial divisor tile");
         assert_eq!(log.chosen, None);
     }

@@ -443,7 +443,7 @@ pub fn transpose_c2r_on_device(
             continue;
         }
         let pass = C2rLinePass::new(data, geom, kind, wg_size, &dev, scratch);
-        stages.push(sim.launch(&pass)?);
+        stages.push(sim.launch(&pass, &ipt_obs::NoopRecorder, 0.0)?);
     }
     Ok(gpu_sim::PipelineStats { stages, overhead_s: 0.0 })
 }
@@ -532,9 +532,9 @@ mod tests {
         let buf = sim.alloc(509 * 251);
         sim.upload_u32(buf, Matrix::iota(509, 251).as_slice());
         let pass = C2rLinePass::new(buf, geom, C2rPassKind::ColShuffle, 256, &dev, None);
-        let c2r_stats = sim.launch(&pass).unwrap();
+        let c2r_stats = sim.launch(&pass, &ipt_obs::NoopRecorder, 0.0).unwrap();
         let coprime = crate::coprime::CoprimeColShuffle { data: buf, rows: 509, cols: 251, wg_size: 256 };
-        let coprime_stats = sim.launch(&coprime).unwrap();
+        let coprime_stats = sim.launch(&coprime, &ipt_obs::NoopRecorder, 0.0).unwrap();
         assert!(
             c2r_stats.coalescing_efficiency() > 1.5 * coprime_stats.coalescing_efficiency(),
             "c2r col pass {:.3} vs coprime {:.3}",

@@ -273,8 +273,9 @@ pub fn transpose_coprime_on_device(
     wg_size: usize,
 ) -> Result<gpu_sim::PipelineStats, gpu_sim::LaunchError> {
     assert!(ipt_core::coprime::is_coprime_shape(rows, cols), "coprime dimensions required");
-    let s1 = sim.launch(&CoprimeRowScramble::new(data, rows, cols, wg_size))?;
-    let s2 = sim.launch(&CoprimeColShuffle { data, rows, cols, wg_size })?;
+    let noop = &ipt_obs::NoopRecorder;
+    let s1 = sim.launch(&CoprimeRowScramble::new(data, rows, cols, wg_size), noop, 0.0)?;
+    let s2 = sim.launch(&CoprimeColShuffle { data, rows, cols, wg_size }, noop, 0.0)?;
     Ok(gpu_sim::PipelineStats { stages: vec![s1, s2], overhead_s: 0.0 })
 }
 
@@ -351,7 +352,8 @@ mod tests {
         let mut sim = Sim::new(DeviceSpec::tesla_k20(), r * c + 8);
         let buf = sim.alloc(r * c);
         sim.upload_u32(buf, Matrix::iota(r, c).as_slice());
-        let s1 = sim.launch(&CoprimeRowScramble::new(buf, r, c, 256)).unwrap();
+        let row = CoprimeRowScramble::new(buf, r, c, 256);
+        let s1 = sim.launch(&row, &ipt_obs::NoopRecorder, 0.0).unwrap();
         assert!(s1.coalescing_efficiency() > 0.9, "{}", s1.coalescing_efficiency());
     }
 }

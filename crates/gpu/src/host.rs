@@ -17,12 +17,12 @@ use crate::recover::{
     transpose_with_recovery, verify_exact, RecoveryPolicy, RecoveryReport, TransposeError,
 };
 use gpu_sim::{
-    simulate_queues_dep, try_simulate_queues_dep, Buffer, Cmd, DeviceSpec, FaultPlan, LaunchError,
-    PipelineStats, QCmd, QueueError, Sim, Timeline,
+    lower, simulate, Buffer, Cmd, Des, DeviceSpec, ECmd, FaultPlan, PipelineStats, QCmd,
+    QueueError, Sim, Timeline,
 };
-use ipt_core::stages::{StageOp, StagePlan, TileConfig};
+use ipt_core::stages::{StageOp, StagePlan};
 use ipt_core::{InstancedTranspose, Matrix};
-use ipt_obs::Recorder;
+use ipt_obs::{NoopRecorder, Recorder};
 
 /// Result of a host-side (virtual in-place) transposition.
 #[derive(Debug, Clone)]
@@ -41,6 +41,19 @@ pub struct HostReport {
 }
 
 impl HostReport {
+    /// The report of a `bytes`-sized transposition over `queues` command
+    /// queues: end-to-end time from the timeline, throughput in the paper's
+    /// convention.
+    fn new(timeline: Timeline, bytes: f64, kernels: PipelineStats, queues: usize) -> Self {
+        Self {
+            total_s: timeline.total_s,
+            effective_gbps: 2.0 * bytes / timeline.total_s / 1e9,
+            timeline,
+            kernels,
+            queues,
+        }
+    }
+
     /// Emit this report into a [`Recorder`]: the DES timeline (one span per
     /// queue command, one display track per engine, busy-fraction gauges),
     /// every device-side kernel's counters, and end-to-end gauges. `t0_s`
@@ -64,25 +77,14 @@ fn matrix_bytes(rows: usize, cols: usize) -> f64 {
     ipt_core::check::bytes_f64(rows, cols, 4)
 }
 
-/// Synchronous scheme: one queue, full H2D, all stages, full D2H.
-///
-/// Functionally executes and verifies the transposition on a fresh
-/// simulator.
-///
-/// # Errors
-/// Propagates infeasible kernel launches.
-pub fn run_host_sync(
+/// The synchronous scheme's single queue, lowered onto `dev`: H2D, one
+/// kernel per stage, the flag memsets and any recovery penalty, D2H.
+fn sync_queue(
     dev: &DeviceSpec,
-    rows: usize,
-    cols: usize,
-    plan: &StagePlan,
-    opts: &GpuOptions,
-) -> Result<HostReport, LaunchError> {
-    let mut sim = Sim::new(dev.clone(), rows * cols + plan_flag_words(plan) + 64);
-    let mut data = Matrix::iota(rows, cols).into_vec();
-    let stats = transpose_on_device(&mut sim, &mut data, rows, cols, plan, opts)?;
-
-    let bytes = matrix_bytes(rows, cols);
+    bytes: f64,
+    stats: &PipelineStats,
+    penalty_s: f64,
+) -> Vec<Vec<ECmd>> {
     let mut q = vec![QCmd::plain(Cmd::H2D { bytes })];
     for st in &stats.stages {
         q.push(QCmd::plain(Cmd::Kernel { time_s: st.time_s, name: st.name.as_str().into() }));
@@ -90,22 +92,39 @@ pub fn run_host_sync(
     if stats.overhead_s > 0.0 {
         q.push(QCmd::plain(Cmd::Kernel { time_s: stats.overhead_s, name: "flag memsets".into() }));
     }
+    if penalty_s > 0.0 {
+        q.push(QCmd::plain(Cmd::Kernel { time_s: penalty_s, name: "recovery penalty".into() }));
+    }
     q.push(QCmd::plain(Cmd::D2H { bytes }));
-    let timeline = simulate_queues_dep(dev, &[q]);
-    Ok(HostReport {
-        total_s: timeline.total_s,
-        effective_gbps: 2.0 * bytes / timeline.total_s / 1e9,
-        timeline,
-        kernels: stats,
-        queues: 1,
-    })
+    lower(dev, &[q])
 }
 
-/// Split an instanced stage into `q` chunks along its leading instances.
-/// Returns `(instance_ranges, word_offsets, word_lengths)`.
-fn chunk_ranges(total_instances: usize, instance_words: usize, q: usize) -> Vec<(usize, usize)> {
-    // (first_instance, count) per chunk, last chunk takes the remainder.
-    let _ = instance_words;
+/// Synchronous scheme: one queue, full H2D, all stages, full D2H.
+///
+/// Functionally executes and verifies the transposition on a fresh
+/// simulator.
+///
+/// # Errors
+/// Propagates infeasible kernel launches and malformed schedules.
+pub fn run_host_sync(
+    dev: &DeviceSpec,
+    rows: usize,
+    cols: usize,
+    plan: &StagePlan,
+    opts: &GpuOptions,
+) -> Result<HostReport, TransposeError> {
+    let mut sim = Sim::new(dev.clone(), rows * cols + plan_flag_words(plan) + 64);
+    let mut data = Matrix::iota(rows, cols).into_vec();
+    let stats = transpose_on_device(&mut sim, &mut data, rows, cols, plan, opts)?;
+    let bytes = matrix_bytes(rows, cols);
+    let timeline = simulate(&Des::device(dev, &sync_queue(dev, bytes, &stats, 0.0)))?;
+    Ok(HostReport::new(timeline, bytes, stats, 1))
+}
+
+/// Split `total_instances` into at most `q` chunks along the leading
+/// instances: `(first_instance, count)` per chunk, the last taking the
+/// remainder.
+fn chunk_ranges(total_instances: usize, q: usize) -> Vec<(usize, usize)> {
     let per = total_instances.div_ceil(q);
     (0..q)
         .map(|c| {
@@ -217,13 +236,13 @@ fn run_host_async_body(
         name: "3-stage",
         stages: vec![plan.stages[0].clone()],
     };
-    let s1 = run_plan(sim, data, flags, &stage1_plan, opts)?;
+    let s1 = run_plan(sim, data, flags, &stage1_plan, opts, &NoopRecorder, 0.0)?;
     let stage1_time: f64 = s1.time_s();
     kernels.stages.extend(s1.stages);
     kernels.overhead_s += s1.overhead_s;
 
     // Stages 2 and 3, chunked along N′.
-    let chunks = chunk_ranges(np, 0, q);
+    let chunks = chunk_ranges(np, q);
     let mut chunk_cmds: Vec<Vec<QCmd>> = Vec::new();
     // Queue 0 carries H2D + stage1 first.
     let mut q0 = vec![
@@ -278,69 +297,39 @@ fn run_host_async_body(
     while queues.len() < q {
         queues.push(Vec::new());
     }
-    let timeline = try_simulate_queues_dep(dev, &queues, sim.fault_source())?;
+    let lowered = lower(dev, &queues);
+    let timeline = simulate(&Des { fault: sim.fault_source(), ..Des::device(dev, &lowered) })?;
 
     // Verify the chunked execution.
     let result = sim.download_u32(data);
     verify_exact(&host, &result, rows, cols)?;
 
-    Ok(HostReport {
-        total_s: timeline.total_s,
-        effective_gbps: 2.0 * bytes / timeline.total_s / 1e9,
-        timeline,
-        kernels,
-        queues: queues.len(),
-    })
+    Ok(HostReport::new(timeline, bytes, kernels, queues.len()))
 }
 
 /// Out-of-place transposition from the host (Table 3's "GPU out-of-place +
 /// data transfers" row): H2D, OOP kernel, D2H. Needs 2× device memory.
 ///
 /// # Errors
-/// Propagates infeasible kernel launches.
+/// Propagates infeasible kernel launches, an incorrect transposition and
+/// malformed schedules.
 pub fn run_host_oop(
     dev: &DeviceSpec,
     rows: usize,
     cols: usize,
-) -> Result<HostReport, LaunchError> {
+) -> Result<HostReport, TransposeError> {
     let mut sim = Sim::new(dev.clone(), 2 * rows * cols + 8);
     let src = sim.alloc(rows * cols);
     let dst = sim.alloc(rows * cols);
     let host = Matrix::iota(rows, cols);
     sim.upload_u32(src, host.as_slice());
     let k = crate::oop::OopTranspose { src, dst, rows, cols };
-    let stats = sim.launch(&k)?;
-    assert_eq!(
-        sim.download_u32(dst),
-        host.transposed().into_vec(),
-        "OOP kernel incorrect"
-    );
+    let kernel = sim.launch(&k, &NoopRecorder, 0.0)?;
+    let stats = PipelineStats { stages: vec![kernel], overhead_s: 0.0 };
+    verify_exact(host.as_slice(), &sim.download_u32(dst), rows, cols)?;
     let bytes = matrix_bytes(rows, cols);
-    let q = vec![
-        QCmd::plain(Cmd::H2D { bytes }),
-        QCmd::plain(Cmd::Kernel { time_s: stats.time_s, name: stats.name.as_str().into() }),
-        QCmd::plain(Cmd::D2H { bytes }),
-    ];
-    let timeline = simulate_queues_dep(dev, &[q]);
-    Ok(HostReport {
-        total_s: timeline.total_s,
-        effective_gbps: 2.0 * bytes / timeline.total_s / 1e9,
-        timeline,
-        kernels: PipelineStats { stages: vec![stats], overhead_s: 0.0 },
-        queues: 1,
-    })
-}
-
-/// Build the 3-stage plan the host schemes expect.
-///
-/// # Errors
-/// Propagates tile divisibility failures.
-pub fn three_stage_plan(
-    rows: usize,
-    cols: usize,
-    tile: TileConfig,
-) -> Result<StagePlan, ipt_core::stages::PlanError> {
-    StagePlan::three_stage(rows, cols, tile)
+    let timeline = simulate(&Des::device(dev, &sync_queue(dev, bytes, &stats, 0.0)))?;
+    Ok(HostReport::new(timeline, bytes, stats, 1))
 }
 
 /// Run the DES timeline, resubmitting on injected transfer failures
@@ -353,15 +342,16 @@ pub fn three_stage_plan(
 /// [`Counter::TransferFaultsInjected`]: ipt_obs::Counter::TransferFaultsInjected
 fn simulate_with_transfer_retry<R: Recorder>(
     dev: &DeviceSpec,
-    queues: &[Vec<QCmd>],
+    queues: &[Vec<ECmd>],
     sim: &Sim,
     policy: &RecoveryPolicy,
     report: &mut RecoveryReport,
     rec: &R,
 ) -> Result<Timeline, TransposeError> {
+    let des = Des { fault: sim.fault_source(), ..Des::device(dev, queues) };
     let mut attempt = 0usize;
     loop {
-        match try_simulate_queues_dep(dev, queues, sim.fault_source()) {
+        match simulate(&des) {
             Ok(tl) => return Ok(tl),
             Err(e @ QueueError::TransferFault { .. }) => {
                 record_transfer_fault(rec, "host", &e);
@@ -394,40 +384,15 @@ pub(crate) fn record_transfer_fault<R: Recorder>(rec: &R, scope: &str, err: &Que
 /// transposition runs through [`transpose_with_recovery`] (per-stage
 /// validation, fallback chain) and the PCIe timeline resubmits failed
 /// transfers. An optional [`FaultPlan`] is armed on the internal
-/// simulator — the test harness's injection point.
-///
-/// # Errors
-/// Only configuration errors when fallback is allowed; any
-/// [`TransposeError`] otherwise. Never panics.
-pub fn run_host_sync_recovering(
-    dev: &DeviceSpec,
-    rows: usize,
-    cols: usize,
-    plan: &StagePlan,
-    opts: &GpuOptions,
-    policy: &RecoveryPolicy,
-    fault: Option<FaultPlan>,
-) -> Result<(HostReport, RecoveryReport), TransposeError> {
-    run_host_sync_recovering_rec(
-        dev,
-        rows,
-        cols,
-        plan,
-        opts,
-        policy,
-        fault,
-        &ipt_obs::NoopRecorder,
-    )
-}
-
-/// [`run_host_sync_recovering`] with observability: injected transfer
+/// simulator — the test harness's injection point. Injected transfer
 /// faults are routed through `rec` as typed events plus the
 /// `TransferFaultsInjected` counter.
 ///
 /// # Errors
-/// Same as [`run_host_sync_recovering`].
+/// Only configuration errors when fallback is allowed; any
+/// [`TransposeError`] otherwise. Never panics.
 #[allow(clippy::too_many_arguments)]
-pub fn run_host_sync_recovering_rec<R: Recorder>(
+pub fn run_host_sync_recovering<R: Recorder>(
     dev: &DeviceSpec,
     rows: usize,
     cols: usize,
@@ -444,36 +409,14 @@ pub fn run_host_sync_recovering_rec<R: Recorder>(
         sim.set_fault_plan(f);
     }
     let mut data = Matrix::iota(rows, cols).into_vec();
+    let noop = &NoopRecorder;
     let (stats, mut report) =
-        transpose_with_recovery(&mut sim, &mut data, rows, cols, plan, opts, policy)?;
-
+        transpose_with_recovery(&mut sim, &mut data, rows, cols, 1, plan, opts, policy, noop, 0.0)?;
     let bytes = matrix_bytes(rows, cols);
-    let mut q = vec![QCmd::plain(Cmd::H2D { bytes })];
-    for st in &stats.stages {
-        q.push(QCmd::plain(Cmd::Kernel { time_s: st.time_s, name: st.name.as_str().into() }));
-    }
-    if stats.overhead_s > 0.0 {
-        q.push(QCmd::plain(Cmd::Kernel { time_s: stats.overhead_s, name: "flag memsets".into() }));
-    }
-    if report.penalty_s > 0.0 {
-        q.push(QCmd::plain(Cmd::Kernel {
-            time_s: report.penalty_s,
-            name: "recovery penalty".into(),
-        }));
-    }
-    q.push(QCmd::plain(Cmd::D2H { bytes }));
-    let timeline = simulate_with_transfer_retry(dev, &[q], &sim, policy, &mut report, rec)?;
+    let queues = sync_queue(dev, bytes, &stats, report.penalty_s);
+    let timeline = simulate_with_transfer_retry(dev, &queues, &sim, policy, &mut report, rec)?;
     report.faults = sim.fault_records();
-    Ok((
-        HostReport {
-            total_s: timeline.total_s,
-            effective_gbps: 2.0 * bytes / timeline.total_s / 1e9,
-            timeline,
-            kernels: stats,
-            queues: 1,
-        },
-        report,
-    ))
+    Ok((HostReport::new(timeline, bytes, stats, 1), report))
 }
 
 /// Asynchronous host scheme with coarse-grained recovery. The chunked
@@ -529,7 +472,7 @@ pub fn run_host_async_recovering(
     report.primary_error = last_err.map(|e| e.to_string());
     let async_attempts = policy.max_stage_retries + 1;
     let (rep, mut merged) =
-        run_host_sync_recovering(dev, rows, cols, plan, opts, policy, fault)?;
+        run_host_sync_recovering(dev, rows, cols, plan, opts, policy, fault, &NoopRecorder)?;
     merged.scheme_retries += async_attempts;
     merged.penalty_s += report.penalty_s;
     // The fault plan (and its record log) was carried into the sync run,
@@ -546,6 +489,7 @@ pub fn run_host_async_recovering(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipt_core::stages::TileConfig;
     use ipt_core::TileHeuristic;
 
     // Large enough that PCIe transfers dwarf queue-creation overhead (the

@@ -51,8 +51,7 @@ pub mod serve;
 pub mod stream;
 
 pub use autotune::{
-    choose_c2r_wg_rec, exhaustive_search, exhaustive_search_rec, measure_tile, pruned_search,
-    pruned_search_rec, TileChoice, TilePoint, TuneLog,
+    choose_c2r_wg, exhaustive_search, measure_tile, pruned_search, TileChoice, TilePoint, TuneLog,
 };
 pub use bs::BsKernel;
 pub use c2r::{c2r_scratch_words, pass_layout, transpose_c2r_on_device, C2rLinePass, C2rPassKind};
@@ -63,21 +62,19 @@ pub use explore::{
 };
 pub use host::{
     run_host_async, run_host_async_recovering, run_host_oop, run_host_sync,
-    run_host_sync_recovering, run_host_sync_recovering_rec, HostReport,
+    run_host_sync_recovering, HostReport,
 };
 pub use multi::{run_multi_gpu, LinkTopology, MultiReport};
 pub use oop::OopTranspose;
 pub use opts::{ClaimBackoff, FlagLayout, GpuOptions, Variant100};
 pub use pipeline::{
-    plan_flag_words, run_plan, run_plan_rec, run_stage, run_stage_rec, scale_plan_words,
-    select_kernel, transpose_on_device, transpose_on_device_f64, transpose_on_device_rec,
-    StageKernel, MAX_CYCLE_SCAN,
+    plan_flag_words, run_plan, run_stage, run_stage_rec, scale_plan_words, select_kernel,
+    transpose_on_device, transpose_on_device_rec, StageKernel, MAX_CYCLE_SCAN,
 };
 pub use recover::{
-    host_transpose, host_transpose_elems, multiset_checksum, run_plan_validated,
-    transpose_scheme_with_recovery, transpose_with_recovery, transpose_with_recovery_elems,
-    verify_exact, verify_exact_elems, RecoveryPath, RecoveryPolicy, RecoveryReport,
-    StageRetryInfo, TransposeError, VerifyError,
+    host_transpose, host_transpose_elems, multiset_checksum, transpose_scheme_with_recovery,
+    transpose_with_recovery, verify_exact, verify_exact_elems, RecoveryPath, RecoveryPolicy,
+    RecoveryReport, TransposeError, VerifyError,
 };
 pub use fleet::{Fleet, FleetConfig, FleetRound};
 pub use serve::{

@@ -27,7 +27,7 @@
 use crate::opts::GpuOptions;
 use crate::pipeline::{plan_flag_words, run_plan};
 use crate::recover::{TransposeError, VerifyError};
-use gpu_sim::{try_simulate_engines, DeviceSpec, ECmd, Sim, Timeline};
+use gpu_sim::{simulate, Des, DeviceSpec, ECmd, Sim, Timeline};
 use ipt_core::stages::StagePlan;
 use ipt_core::{Matrix, TileHeuristic};
 use serde::Serialize;
@@ -157,7 +157,7 @@ pub fn run_multi_gpu(
         let flags = sim.alloc(plan_flag_words(&plan).max(1));
         let block = &host.as_slice()[d * md * cols..(d + 1) * md * cols];
         sim.upload_u32(buf, block);
-        let stats = run_plan(&sim, buf, flags, &plan, opts)?;
+        let stats = run_plan(&sim, buf, flags, &plan, opts, &ipt_obs::NoopRecorder, 0.0)?;
         kernel_s.push(stats.time_s());
         // The device now holds the N × M_d panel; scatter it into the
         // host result's column slice [d·M_d, (d+1)·M_d).
@@ -189,28 +189,13 @@ pub fn run_multi_gpu(
         .map(|d| {
             let (h2d_e, d2h_e) = link.link_engines(d_count, d);
             vec![
-                ECmd {
-                    engine: h2d_e,
-                    duration_s: xfer,
-                    label: format!("H2D block {d}").into(),
-                    wait: None,
-                },
-                ECmd {
-                    engine: d,
-                    duration_s: kernel_s[d],
-                    label: format!("3-stage block {d}").into(),
-                    wait: None,
-                },
-                ECmd {
-                    engine: d2h_e,
-                    duration_s: xfer,
-                    label: format!("D2H panel {d}").into(),
-                    wait: None,
-                },
+                ECmd::new(h2d_e, xfer, format!("H2D block {d}").into()),
+                ECmd::new(d, kernel_s[d], format!("3-stage block {d}").into()),
+                ECmd::new(d2h_e, xfer, format!("D2H panel {d}").into()),
             ]
         })
         .collect();
-    let timeline = try_simulate_engines(link.num_engines(d_count), setup, &queues)?;
+    let timeline = simulate(&Des::new(link.num_engines(d_count), setup, &queues))?;
     let bytes = ipt_core::check::bytes_f64(rows, cols, 4);
     Ok(MultiReport {
         devices: d_count,

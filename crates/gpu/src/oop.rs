@@ -164,7 +164,7 @@ mod tests {
         let m = Matrix::iota(rows, cols);
         sim.upload_u32(src, m.as_slice());
         let k = OopTranspose { src, dst, rows, cols };
-        let stats = sim.launch(&k).unwrap();
+        let stats = sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).unwrap();
         (sim.download_u32(dst), stats)
     }
 

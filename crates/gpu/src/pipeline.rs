@@ -90,31 +90,16 @@ pub fn plan_flag_words(plan: &StagePlan) -> usize {
 /// at least [`plan_flag_words`] words.
 ///
 /// Returns per-stage kernel stats; `overhead_s` accounts the flag-buffer
-/// memsets (the paper's ≈0.1 % coordination-bit overhead).
+/// memsets (the paper's ≈0.1 % coordination-bit overhead). Onto `rec` go an
+/// algorithm-level span covering the whole plan, one stage-level span per
+/// stage (both on the cumulative DES clock starting at `t0_s`), kernel spans
+/// and counters from the engine, and each instanced stage's permutation
+/// cycle-length histogram (stages over [`MAX_CYCLE_SCAN`] elements skip the
+/// scan).
 ///
 /// # Errors
 /// Propagates infeasible launches.
-pub fn run_plan(
-    sim: &Sim,
-    data: Buffer,
-    flags: Buffer,
-    plan: &StagePlan,
-    opts: &GpuOptions,
-) -> Result<PipelineStats, LaunchError> {
-    run_plan_rec(sim, data, flags, plan, opts, &NoopRecorder, 0.0)
-}
-
-/// [`run_plan`] instrumented with a [`Recorder`]: an algorithm-level span
-/// covering the whole plan, one stage-level span per stage (both on the
-/// cumulative DES clock starting at `t0_s`), kernel spans and counters from
-/// the engine, and each instanced stage's permutation cycle-length
-/// histogram (stages over [`MAX_CYCLE_SCAN`] elements skip the scan).
-///
-/// With [`NoopRecorder`] this is exactly [`run_plan`].
-///
-/// # Errors
-/// Propagates infeasible launches.
-pub fn run_plan_rec<R: Recorder>(
+pub fn run_plan<R: Recorder>(
     sim: &Sim,
     data: Buffer,
     flags: Buffer,
@@ -230,7 +215,7 @@ pub fn run_stage_rec<R: Recorder>(
                 fuse_tile: Some((f.rows_inner, f.cols_inner)),
                 backoff: opts.backoff,
             };
-            let moving = sim.launch_rec(&k, rec, t0_s + ms)?;
+            let moving = sim.launch(&k, rec, t0_s + ms)?;
             let after_moving_s = t0_s + ms + moving.time_s;
             out.stages.push(moving);
             // Outer fixed tiles still need internal transposition.
@@ -289,7 +274,7 @@ fn run_instanced<R: Recorder>(
         return Ok(noop_stats(op));
     }
     match select_kernel(sim, op, opts) {
-        StageKernel::Bs => sim.launch_rec(
+        StageKernel::Bs => sim.launch(
             &BsKernel {
                 data,
                 instances: op.instances,
@@ -301,7 +286,7 @@ fn run_instanced<R: Recorder>(
             rec,
             t0_s,
         ),
-        StageKernel::Pttwac010 => sim.launch_rec(
+        StageKernel::Pttwac010 => sim.launch(
             &Pttwac010 {
                 data,
                 instances: op.instances,
@@ -330,7 +315,7 @@ fn run_instanced<R: Recorder>(
             sim.zero(flags);
             let ms = memset_time(sim, needed);
             *overhead_s += ms;
-            sim.launch_rec(
+            sim.launch(
                 &Pttwac100 {
                     data,
                     flags,
@@ -415,7 +400,7 @@ fn run_fused_fixed_tiles<R: Recorder>(
             continue;
         }
         let sub = data.slice(t * tile, tile);
-        let stats = sim.launch_rec(
+        let stats = sim.launch(
             &BsKernel {
                 data: sub,
                 instances: 1,
@@ -463,7 +448,7 @@ pub fn transpose_on_device(
 }
 
 /// [`transpose_on_device`] instrumented with a [`Recorder`]: everything
-/// [`run_plan_rec`] emits plus the host↔device traffic meters.
+/// [`run_plan`] emits plus the host↔device traffic meters.
 ///
 /// # Errors
 /// Propagates infeasible launches.
@@ -485,7 +470,7 @@ pub fn transpose_on_device_rec<R: Recorder>(
     let data = sim.alloc(rows * cols);
     let flags = sim.alloc(plan_flag_words(plan).max(1));
     sim.upload_u32(data, host_data);
-    let stats = run_plan_rec(sim, data, flags, plan, opts, rec, t0_s)?;
+    let stats = run_plan(sim, data, flags, plan, opts, rec, t0_s)?;
     let result = sim.download_u32(data);
     sim.record_traffic(rec, "sim");
     // Verify against the definitional permutation.
@@ -552,53 +537,6 @@ pub fn scale_plan_words(plan: &StagePlan, elem_words: usize) -> StagePlan {
     out
 }
 
-/// [`transpose_on_device`] for `f64` matrices: elements travel as pairs of
-/// 32-bit words; every elementary operation's super-element size doubles.
-/// The result is verified element-exact against the reference permutation.
-///
-/// # Errors
-/// Propagates infeasible launches.
-///
-/// # Panics
-/// Panics on an incorrect transposition or size mismatch.
-pub fn transpose_on_device_f64(
-    sim: &mut Sim,
-    host_data: &mut Vec<f64>,
-    rows: usize,
-    cols: usize,
-    plan: &StagePlan,
-    opts: &GpuOptions,
-) -> Result<PipelineStats, LaunchError> {
-    assert_eq!(host_data.len(), rows * cols);
-    let scaled = scale_plan_words(plan, 2);
-    let words: Vec<u32> = host_data
-        .iter()
-        .flat_map(|v| {
-            let b = v.to_bits();
-            [(b & 0xffff_ffff) as u32, (b >> 32) as u32]
-        })
-        .collect();
-    let data = sim.alloc(words.len());
-    let flags = sim.alloc(plan_flag_words(&scaled).max(1));
-    sim.upload_u32(data, &words);
-    let stats = run_plan(sim, data, flags, &scaled, opts)?;
-    let out_words = sim.download_u32(data);
-    let result: Vec<f64> = out_words
-        .chunks_exact(2)
-        .map(|w| f64::from_bits(u64::from(w[0]) | (u64::from(w[1]) << 32)))
-        .collect();
-    let perm = TransposePerm::new(rows, cols);
-    for (k, &v) in host_data.iter().enumerate() {
-        assert_eq!(
-            result[perm.dest(k)].to_bits(),
-            v.to_bits(),
-            "f64 device transposition incorrect at source offset {k}"
-        );
-    }
-    *host_data = result;
-    Ok(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,11 +590,31 @@ mod tests {
         }
     }
 
+    /// Transpose `f64` data as 2-word elements through the plan front door
+    /// of the recovery chain with fallback off, so only the requested
+    /// device pipeline can succeed (verified element-exact).
+    fn transpose_f64(sim: &mut Sim, data: &[f64], plan: &StagePlan) -> PipelineStats {
+        let mut words: Vec<u32> = data
+            .iter()
+            .flat_map(|v| {
+                let b = v.to_bits();
+                [(b & 0xffff_ffff) as u32, (b >> 32) as u32]
+            })
+            .collect();
+        let opts = GpuOptions::tuned_for(sim.device());
+        let policy = crate::recover::RecoveryPolicy { allow_fallback: false, ..Default::default() };
+        let (stats, report) = crate::recover::transpose_with_recovery(
+            sim, &mut words, plan.rows, plan.cols, 2, plan, &opts, &policy, &NoopRecorder, 0.0,
+        )
+        .expect("f64 device pipeline");
+        assert_eq!(report.path, crate::recover::RecoveryPath::Primary, "{}", plan.name);
+        stats
+    }
+
     #[test]
     fn f64_three_and_four_stage_verify() {
         let (rows, cols) = (72, 60);
         let dev = DeviceSpec::tesla_k20();
-        let opts = GpuOptions::tuned_for(&dev);
         let tile = TileConfig::new(12, 10);
         for plan in [
             StagePlan::three_stage(rows, cols, tile).unwrap(),
@@ -667,12 +625,9 @@ mod tests {
             let scaled = scale_plan_words(&plan, 2);
             let mut sim =
                 Sim::new(dev.clone(), 2 * rows * cols + plan_flag_words(&scaled) + 64);
-            let mut data: Vec<f64> =
-                (0..rows * cols).map(|k| k as f64 * 1.5 - 7.25).collect();
+            let data: Vec<f64> = (0..rows * cols).map(|k| k as f64 * 1.5 - 7.25).collect();
             // Verified internally (bit-exact).
-            let stats =
-                transpose_on_device_f64(&mut sim, &mut data, rows, cols, &plan, &opts)
-                    .unwrap();
+            let stats = transpose_f64(&mut sim, &data, &plan);
             assert!(stats.time_s() > 0.0, "{}", plan.name);
         }
     }
@@ -688,8 +643,8 @@ mod tests {
         let s32 = transpose_on_device(&mut sim, &mut d32, rows, cols, &plan, &opts).unwrap();
         let scaled = scale_plan_words(&plan, 2);
         let mut sim = Sim::new(dev, 2 * rows * cols + plan_flag_words(&scaled) + 64);
-        let mut d64: Vec<f64> = (0..rows * cols).map(|k| k as f64).collect();
-        let s64 = transpose_on_device_f64(&mut sim, &mut d64, rows, cols, &plan, &opts).unwrap();
+        let d64: Vec<f64> = (0..rows * cols).map(|k| k as f64).collect();
+        let s64 = transpose_f64(&mut sim, &d64, &plan);
         // Same payload GB/s regime: f64 time within ~3x of 2x-the-f32 time.
         let ratio = s64.time_s() / (2.0 * s32.time_s());
         assert!((0.3..3.0).contains(&ratio), "ratio {ratio}");

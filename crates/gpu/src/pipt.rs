@@ -237,7 +237,7 @@ mod tests {
             super_size,
             wg_size: 128,
         };
-        let stats = sim.launch(&k).unwrap();
+        let stats = sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).unwrap();
         (sim.download_u32(data), stats)
     }
 

@@ -281,7 +281,7 @@ mod tests {
         let data: Vec<u32> = (0..op.total_len() as u32).collect();
         sim.upload_u32(buf, &data);
         let k = Pttwac010 { data: buf, instances, rows, cols, wg_size, flags, backoff: None };
-        let stats = sim.launch(&k).expect("feasible");
+        let stats = sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).expect("feasible");
         (sim.download_u32(buf), stats)
     }
 
@@ -331,7 +331,7 @@ mod tests {
             flags: FlagLayout::SpreadPadded { factor: 8 },
             backoff: Some(ClaimBackoff::mild(7)),
         };
-        let stats = sim.launch(&k).expect("feasible");
+        let stats = sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).expect("feasible");
         assert_eq!(sim.download_u32(buf), expected(3, 16, 215));
         assert!(stats.time_s > 0.0);
     }

@@ -482,7 +482,7 @@ mod tests {
             fuse_tile: fuse,
             backoff: None,
         };
-        let stats = sim.launch(&k).expect("feasible");
+        let stats = sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).expect("feasible");
         (sim.download_u32(data), stats)
     }
 
@@ -535,7 +535,7 @@ mod tests {
             fuse_tile: None,
             backoff: Some(ClaimBackoff::mild(13)),
         };
-        sim.launch(&k).expect("feasible");
+        sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).expect("feasible");
         assert_eq!(sim.download_u32(data), expected(3, 7, 5, 16));
     }
 

@@ -10,11 +10,12 @@
 //! * every successful return is **verified element-exact** against the
 //!   definitional permutation,
 //! * recovery is layered: per-stage snapshot + multiset-checksum
-//!   validation with bounded retry ([`run_plan_validated`]), then a
-//!   fallback chain ([`transpose_with_recovery`]) that degrades from the
-//!   tuned in-place pipeline through conservative options and an
-//!   out-of-place kernel down to a sequential host transposition, which
-//!   cannot fail.
+//!   validation with bounded retry, then one fallback chain that degrades
+//!   from the scheme's device attempts (for a stage plan: the tuned
+//!   options, then conservative ones) through an out-of-place kernel down
+//!   to a sequential host transposition, which cannot fail. The chain has
+//!   two front doors: an explicit plan ([`transpose_with_recovery`]) and a
+//!   planner decision ([`transpose_scheme_with_recovery_rec`]).
 //!
 //! The per-stage checksum is a *multiset* invariant (wrapping sum + xor of
 //! all words): any transposition stage is a permutation, so the multiset
@@ -31,7 +32,7 @@ use gpu_sim::{
 };
 use ipt_obs::{NoopRecorder, Recorder};
 use ipt_core::stages::{PlanError, StagePlan};
-use ipt_core::TransposePerm;
+use ipt_core::{PlanDecision, Scheme, TransposePerm};
 
 /// A verification failure: the device's data does not match what the
 /// stage (or the full transposition) should have produced.
@@ -392,7 +393,9 @@ pub fn verify_exact(
 /// element's words travel together.
 ///
 /// # Errors
-/// [`VerifyError`] naming the first mismatching element.
+/// [`VerifyError`] naming the first mismatching element, or the size
+/// mismatch when `src` or `result` is not `rows × cols` elements of
+/// `elem_words ≥ 1` words.
 pub fn verify_exact_elems(
     src: &[u32],
     result: &[u32],
@@ -400,6 +403,18 @@ pub fn verify_exact_elems(
     cols: usize,
     elem_words: usize,
 ) -> Result<(), VerifyError> {
+    let words = rows.checked_mul(cols).and_then(|e| e.checked_mul(elem_words));
+    if elem_words == 0 || words != Some(src.len()) || result.len() != src.len() {
+        return Err(VerifyError {
+            stage: None,
+            detail: format!(
+                "a {rows}×{cols} matrix of {elem_words}-word elements cannot be checked \
+                 with {} source and {} result words",
+                src.len(),
+                result.len()
+            ),
+        });
+    }
     let perm = TransposePerm::new(rows, cols);
     for (k, chunk) in src.chunks_exact(elem_words).enumerate() {
         let d = perm.dest(k);
@@ -439,13 +454,11 @@ pub fn host_transpose_elems(
     out
 }
 
-/// Outcome of the validated per-stage execution.
+/// Retries and penalty of one validated staged attempt.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct StageRetryInfo {
-    /// Retries spent across all stages.
-    pub stage_retries: usize,
-    /// Simulated seconds charged to failed attempts and backoff.
-    pub penalty_s: f64,
+struct StageRetryInfo {
+    stage_retries: usize,
+    penalty_s: f64,
 }
 
 /// Execute `plan` stage by stage with snapshot/validate/retry recovery.
@@ -457,34 +470,10 @@ pub struct StageRetryInfo {
 /// (bounded by [`RecoveryPolicy::max_stage_retries`], with exponential
 /// backoff charged to the penalty). Deterministic launch failures
 /// (infeasible geometry) are returned immediately — re-running cannot
-/// change them.
-///
-/// # Errors
-/// [`TransposeError::RecoveryExhausted`] when retries run out;
-/// [`TransposeError::Launch`] for deterministic launch failures.
-pub fn run_plan_validated(
-    sim: &Sim,
-    data: Buffer,
-    flags: Buffer,
-    plan: &StagePlan,
-    opts: &GpuOptions,
-    policy: &RecoveryPolicy,
-) -> Result<(PipelineStats, StageRetryInfo), TransposeError> {
-    run_plan_validated_rec(sim, data, flags, plan, opts, policy, &NoopRecorder, 0.0)
-}
-
-/// [`run_plan_validated`] instrumented with a [`Recorder`]: successful
-/// stage attempts emit kernel-launch and stage spans on the cumulative
-/// DES clock starting at `t0_s` (via
-/// [`run_stage_rec`](crate::pipeline::run_stage_rec)), so a serving-layer
-/// trace context pushed around this call captures genuine device-level
-/// child spans. With [`NoopRecorder`] this is exactly
-/// [`run_plan_validated`].
-///
-/// # Errors
-/// Same contract as [`run_plan_validated`].
+/// change them. Successful stage attempts emit kernel-launch and stage
+/// spans on the cumulative DES clock starting at `t0_s`.
 #[allow(clippy::too_many_arguments)]
-pub fn run_plan_validated_rec<R: Recorder>(
+fn run_stages_validated<R: Recorder>(
     sim: &Sim,
     data: Buffer,
     flags: Buffer,
@@ -543,81 +532,261 @@ pub fn run_plan_validated_rec<R: Recorder>(
     Ok((out, info))
 }
 
-/// Full in-place transposition with verification and a fallback chain.
-///
-/// The primary attempt runs [`run_plan_validated`] with the requested
-/// options and finishes with an element-exact check against the
-/// definitional permutation. If anything fails and the policy allows
-/// fallback, execution degrades in order:
-///
-/// 1. **conservative options** — the same plan re-run from the restored
-///    input with [`GpuOptions::baseline_for`],
-/// 2. **out-of-place** — the OOP kernel, if 2× memory is available,
-/// 3. **host sequential** — always correct.
-///
-/// On success `host_data` holds the (verified) transposed matrix and the
-/// report says which path delivered it; the device data buffer holds the
-/// same verified result on every path.
-///
-/// # Errors
-/// [`TransposeError`] when fallback is disallowed or the configuration is
-/// unusable. With fallback enabled the function only fails on config
-/// errors — the host-sequential tail cannot fail.
-pub fn transpose_with_recovery(
-    sim: &mut Sim,
-    host_data: &mut Vec<u32>,
-    rows: usize,
-    cols: usize,
-    plan: &StagePlan,
-    opts: &GpuOptions,
-    policy: &RecoveryPolicy,
-) -> Result<(PipelineStats, RecoveryReport), TransposeError> {
-    transpose_with_recovery_elems(sim, host_data, rows, cols, 1, plan, opts, policy)
+/// What a caller asks the recovery chain to execute.
+#[derive(Clone, Copy)]
+enum Request<'a> {
+    /// An explicit element-granular stage plan.
+    Plan(&'a StagePlan),
+    /// A planner decision; its stage plan (if any) is built once the shape
+    /// has been validated.
+    Decision(&'a PlanDecision),
 }
 
-/// [`transpose_with_recovery`] for super-elements of `elem_words` 32-bit
-/// words each (2 for `f64`): `plan` is element-granular and is scaled with
-/// [`crate::pipeline::scale_plan_words`] before execution; validation and
-/// verification act on whole elements. The out-of-place kernel fallback is
-/// word-granular, so for `elem_words > 1` the chain skips straight from
-/// conservative options to the host path.
+/// A word-granular device pipeline: `(sim, data, rows, cols, wg_size)`.
+type KernelFn = fn(&mut Sim, Buffer, usize, usize, usize) -> Result<PipelineStats, LaunchError>;
+
+/// The scheme's device attempts, ahead of the chain's shared fallbacks.
+#[derive(Clone, Copy)]
+enum Device<'a> {
+    /// A (word-scaled) stage plan under per-stage validation: requested
+    /// options first, then [`GpuOptions::baseline_for`].
+    Staged(&'a StagePlan),
+    /// One kernel pipeline (C2R or coprime), span-silent.
+    Kernels {
+        /// Scheme name for error messages.
+        name: &'static str,
+        /// The pipeline.
+        run: KernelFn,
+    },
+}
+
+/// The recovery chain behind both front doors.
 ///
-/// # Errors
-/// Same contract as [`transpose_with_recovery`].
+/// 1. **Validate** the inputs once: element width, address-space overflow,
+///    payload length, then (except for the identity scheme) nonzero
+///    dimensions, the plan's shape and the coprime gcd guard.
+/// 2. **Device attempts**, each finished by an element-exact check: a
+///    staged plan runs with the requested options, then from the restored
+///    input with conservative options (a fresh retry budget); C2R and
+///    coprime run their kernels, which only move word-sized elements.
+/// 3. **Out-of-place** kernel, if the device can hold a second copy
+///    (allocation failure is just the signal to keep degrading). It moves
+///    single words, so it only applies to word-sized elements.
+/// 4. **Host sequential** transposition — cannot fail.
+///
+/// On success `host_data` holds the verified transposed matrix, the device
+/// data buffer (when one was allocated) holds the same result, and the
+/// report says which path delivered it.
 #[allow(clippy::too_many_arguments)]
-pub fn transpose_with_recovery_elems(
+#[allow(clippy::too_many_lines)]
+fn recover<R: Recorder>(
     sim: &mut Sim,
     host_data: &mut Vec<u32>,
     rows: usize,
     cols: usize,
     elem_words: usize,
-    plan: &StagePlan,
+    request: Request<'_>,
     opts: &GpuOptions,
     policy: &RecoveryPolicy,
+    rec: &R,
+    t0_s: f64,
 ) -> Result<(PipelineStats, RecoveryReport), TransposeError> {
-    transpose_with_recovery_elems_rec(
-        sim,
-        host_data,
-        rows,
-        cols,
-        elem_words,
-        plan,
-        opts,
-        policy,
-        &NoopRecorder,
-        0.0,
-    )
+    let invalid = |what: String| Err(TransposeError::InvalidConfig { what });
+    if elem_words == 0 {
+        return invalid("elem_words must be ≥ 1".into());
+    }
+    let Some(words) = ipt_core::check::checked_bytes(rows, cols, elem_words)
+        .and_then(|w| usize::try_from(w).ok())
+    else {
+        return invalid(format!("{rows}×{cols}×{elem_words} words overflows the address space"));
+    };
+    if host_data.len() != words {
+        return invalid(format!(
+            "host data has {} words but the matrix needs {words} ({rows}×{cols} elements of \
+             {elem_words} words)",
+            host_data.len(),
+        ));
+    }
+    // Degenerate short-circuit: a 1×n, m×1 or empty matrix transposes to
+    // itself in linear storage. No device work, no failure modes.
+    if matches!(request, Request::Decision(d) if d.scheme == Scheme::Identity) {
+        return Ok((PipelineStats::default(), RecoveryReport::new(RecoveryPath::Primary)));
+    }
+    if rows == 0 || cols == 0 {
+        return invalid(format!(
+            "{rows}×{cols} has a zero dimension; only the identity scheme takes it"
+        ));
+    }
+    let built;
+    let device = match request {
+        Request::Plan(plan) => {
+            if plan.rows != rows || plan.cols != cols {
+                return invalid(format!(
+                    "plan `{}` was built for {}×{}, not {rows}×{cols}",
+                    plan.name, plan.rows, plan.cols
+                ));
+            }
+            Device::Staged(plan)
+        }
+        Request::Decision(d) => match d.scheme {
+            Scheme::Coprime => {
+                if !ipt_core::coprime::is_coprime_shape(rows, cols) {
+                    return invalid(format!(
+                        "decision says coprime but gcd({rows}, {cols}) ≠ 1 — stale decision?"
+                    ));
+                }
+                Device::Kernels {
+                    name: "coprime",
+                    run: |sim, data, rows, cols, wg| {
+                        crate::coprime::transpose_coprime_on_device(sim, data, rows, cols, wg)
+                    },
+                }
+            }
+            // C2R/R2C decomposition: total over every shape, no guard.
+            Scheme::C2R => {
+                Device::Kernels { name: "c2r", run: crate::c2r::transpose_c2r_on_device }
+            }
+            // Staged family: square-tiled, heuristic staged, gcd-tiled and
+            // the conservative single-stage all execute as (possibly
+            // degenerate) stage plans.
+            _ => {
+                built = d
+                    .staged_plan(rows, cols)
+                    .expect("staged-family schemes always yield a plan");
+                Device::Staged(&built)
+            }
+        },
+    };
+    // Stage plans are element-granular: scale them to whole words.
+    let scaled;
+    let device = match device {
+        Device::Staged(plan) if elem_words > 1 => {
+            scaled = crate::pipeline::scale_plan_words(plan, elem_words);
+            Device::Staged(&scaled)
+        }
+        device => device,
+    };
+
+    let original = host_data.clone();
+    let mut report = RecoveryReport::new(RecoveryPath::Primary);
+    let verified = |sim: &Sim, buf: Buffer| -> Result<Vec<u32>, TransposeError> {
+        let result = sim.download_u32(buf);
+        verify_exact_elems(&original, &result, rows, cols, elem_words)?;
+        Ok(result)
+    };
+    let oom = |sim: &Sim, need: usize| TransposeError::DeviceOom { need, free: sim.free_words() };
+    let mut data = None;
+    let outcome = 'chain: {
+        if let (Device::Kernels { name, .. }, true) = (device, elem_words > 1) {
+            if !policy.allow_fallback {
+                return invalid(format!(
+                    "{name} device kernels are word-granular; {elem_words}-word elements need \
+                     the host fallback, which the policy disallows"
+                ));
+            }
+            report.primary_error = Some(format!(
+                "{name} device kernels are word-granular; wide elements served by the host path"
+            ));
+            break 'chain None;
+        }
+        let buf = sim.try_alloc(words).ok_or_else(|| oom(sim, words))?;
+        data = Some(buf);
+        let flags = match device {
+            Device::Staged(plan) => {
+                let need = plan_flag_words(plan).max(1);
+                Some(sim.try_alloc(need).ok_or_else(|| oom(sim, need))?)
+            }
+            Device::Kernels { .. } => None,
+        };
+        sim.upload_u32(buf, &original);
+        // One device attempt under `opts`, verified element-exact; only a
+        // verified attempt's stage retries and penalty join the report.
+        let attempt = |sim: &mut Sim, opts: &GpuOptions, report: &mut RecoveryReport| {
+            let (stats, info) = match device {
+                Device::Staged(plan) => {
+                    let flags = flags.expect("staged plans get a flag buffer");
+                    run_stages_validated(sim, buf, flags, plan, opts, policy, rec, t0_s)?
+                }
+                Device::Kernels { run, .. } => {
+                    (run(sim, buf, rows, cols, opts.wg_size)?, StageRetryInfo::default())
+                }
+            };
+            let result = verified(sim, buf)?;
+            report.stage_retries += info.stage_retries;
+            report.penalty_s += info.penalty_s;
+            Ok::<_, TransposeError>((stats, result))
+        };
+        match attempt(sim, opts, &mut report) {
+            Ok(done) => break 'chain Some(done),
+            Err(e) if !policy.allow_fallback => return Err(e),
+            Err(e) => report.primary_error = Some(e.to_string()),
+        }
+        if let Device::Staged(_) = device {
+            // Conservative options from a restored input. The retry budget
+            // resets — this is a fresh, simpler execution.
+            sim.upload_u32(buf, &original);
+            report.path = RecoveryPath::ConservativeOptions;
+            let conservative = GpuOptions::baseline_for(sim.device());
+            if let Ok(done) = attempt(sim, &conservative, &mut report) {
+                break 'chain Some(done);
+            }
+        }
+        if elem_words == 1 {
+            sim.upload_u32(buf, &original);
+            report.path = RecoveryPath::OutOfPlace;
+            if let Some(dst) = sim.try_alloc(words) {
+                let oop = crate::oop::OopTranspose { src: buf, dst, rows, cols };
+                if let Ok(stats) = sim.launch(&oop, &NoopRecorder, 0.0) {
+                    if let Ok(result) = verified(sim, dst) {
+                        sim.upload_u32(buf, &result);
+                        let stats = PipelineStats { stages: vec![stats], overhead_s: 0.0 };
+                        break 'chain Some((stats, result));
+                    }
+                }
+            }
+        }
+        None
+    };
+    let (stats, result) = outcome.unwrap_or_else(|| {
+        report.path = RecoveryPath::HostSequential;
+        let result = host_transpose_elems(&original, rows, cols, elem_words);
+        if let Some(buf) = data {
+            sim.upload_u32(buf, &result);
+        }
+        (PipelineStats::default(), result)
+    });
+    report.faults = sim.fault_records();
+    *host_data = result;
+    Ok((stats, report))
 }
 
-/// [`transpose_with_recovery_elems`] instrumented with a [`Recorder`]:
-/// the validated primary and conservative attempts emit device-level
-/// spans on the cumulative DES clock starting at `t0_s`. With
-/// [`NoopRecorder`] this is exactly [`transpose_with_recovery_elems`].
+/// In-place transposition of `rows × cols` elements of `elem_words` 32-bit
+/// words (1 for `f32`/`u32`, 2 for `f64`) along an explicit stage plan, with
+/// verification and the full fallback chain.
+///
+/// `plan` is element-granular and is scaled with
+/// [`crate::pipeline::scale_plan_words`] before execution; validation and
+/// verification act on whole elements. The primary attempt runs the plan
+/// stage by stage (snapshot, multiset-checksum validation, bounded retry)
+/// with the requested options and finishes with an element-exact check
+/// against the definitional permutation. If anything fails and the policy
+/// allows fallback, execution degrades in order:
+///
+/// 1. **conservative options** — the same plan re-run from the restored
+///    input with [`GpuOptions::baseline_for`],
+/// 2. **out-of-place** — the OOP kernel, if 2× memory is available and
+///    elements are word-sized,
+/// 3. **host sequential** — always correct.
+///
+/// The validated attempts emit device-level spans onto `rec` on the
+/// cumulative DES clock starting at `t0_s`.
 ///
 /// # Errors
-/// Same contract as [`transpose_with_recovery`].
+/// [`TransposeError`] when fallback is disallowed or the configuration is
+/// unusable. With fallback enabled the function only fails on config
+/// errors — the host-sequential tail cannot fail.
 #[allow(clippy::too_many_arguments)]
-pub fn transpose_with_recovery_elems_rec<R: Recorder>(
+pub fn transpose_with_recovery<R: Recorder>(
     sim: &mut Sim,
     host_data: &mut Vec<u32>,
     rows: usize,
@@ -629,151 +798,13 @@ pub fn transpose_with_recovery_elems_rec<R: Recorder>(
     rec: &R,
     t0_s: f64,
 ) -> Result<(PipelineStats, RecoveryReport), TransposeError> {
-    if elem_words == 0 {
-        return Err(TransposeError::InvalidConfig { what: "elem_words must be ≥ 1".into() });
-    }
-    let Some(words_total) = ipt_core::check::checked_bytes(rows, cols, elem_words)
-        .and_then(|w| usize::try_from(w).ok())
-    else {
-        return Err(TransposeError::InvalidConfig {
-            what: format!("{rows}×{cols}×{elem_words} words overflows the address space"),
-        });
-    };
-    if host_data.len() != words_total {
-        return Err(TransposeError::InvalidConfig {
-            what: format!(
-                "host data has {} words but the matrix is {rows}×{cols} elements of \
-                 {elem_words} words = {words_total} words",
-                host_data.len(),
-            ),
-        });
-    }
-    if plan.rows != rows || plan.cols != cols {
-        return Err(TransposeError::InvalidConfig {
-            what: format!(
-                "plan `{}` was built for {}×{}, not {rows}×{cols}",
-                plan.name, plan.rows, plan.cols
-            ),
-        });
-    }
-    let scaled;
-    let plan = if elem_words == 1 {
-        plan
-    } else {
-        scaled = crate::pipeline::scale_plan_words(plan, elem_words);
-        &scaled
-    };
-    let words = words_total;
-    let flag_words = plan_flag_words(plan).max(1);
-    let data = sim.try_alloc(words).ok_or(TransposeError::DeviceOom {
-        need: words,
-        free: sim.free_words(),
-    })?;
-    let flags = sim.try_alloc(flag_words).ok_or(TransposeError::DeviceOom {
-        need: flag_words,
-        free: sim.free_words(),
-    })?;
-    let original = host_data.clone();
-    sim.upload_u32(data, &original);
-
-    let mut report = RecoveryReport::new(RecoveryPath::Primary);
-    let mut record_outcome =
-        |report: &mut RecoveryReport, sim: &Sim, stats: PipelineStats, result: Vec<u32>| {
-            report.faults = sim.fault_records();
-            *host_data = result;
-            (stats, report.clone())
-        };
-
-    // Primary: requested options, per-stage validation, final exact check.
-    let primary = run_plan_validated_rec(sim, data, flags, plan, opts, policy, rec, t0_s).and_then(
-        |(stats, info)| {
-            let result = sim.download_u32(data);
-            verify_exact_elems(&original, &result, rows, cols, elem_words)?;
-            Ok((stats, info, result))
-        },
-    );
-    match primary {
-        Ok((stats, info, result)) => {
-            report.stage_retries = info.stage_retries;
-            report.penalty_s = info.penalty_s;
-            return Ok(record_outcome(&mut report, sim, stats, result));
-        }
-        Err(e) => {
-            if !policy.allow_fallback {
-                return Err(e);
-            }
-            report.primary_error = Some(e.to_string());
-        }
-    }
-
-    // Fallback 1: conservative options from a restored input. The retry
-    // budget resets — this is a fresh, simpler execution.
-    sim.upload_u32(data, &original);
-    report.path = RecoveryPath::ConservativeOptions;
-    let conservative = GpuOptions::baseline_for(sim.device());
-    if let Ok((stats, info, result)) =
-        run_plan_validated_rec(sim, data, flags, plan, &conservative, policy, rec, t0_s)
-            .and_then(|(stats, info)| {
-            let result = sim.download_u32(data);
-            verify_exact_elems(&original, &result, rows, cols, elem_words)?;
-            Ok((stats, info, result))
-        })
-    {
-        report.stage_retries += info.stage_retries;
-        report.penalty_s += info.penalty_s;
-        return Ok(record_outcome(&mut report, sim, stats, result));
-    }
-
-    // Fallback 2: out-of-place kernel, if the device can hold a second
-    // copy. Allocation failure is not an error here — just the signal to
-    // keep degrading. The kernel moves single words, so it only applies to
-    // word-sized elements.
-    sim.upload_u32(data, &original);
-    report.path = RecoveryPath::OutOfPlace;
-    if elem_words == 1 {
-        if let Some(dst) = sim.try_alloc(words) {
-            let oop = crate::oop::OopTranspose { src: data, dst, rows, cols };
-            if let Ok(stats) = sim.launch(&oop) {
-                let result = sim.download_u32(dst);
-                if verify_exact(&original, &result, rows, cols).is_ok() {
-                    sim.upload_u32(data, &result);
-                    let pipeline = PipelineStats { stages: vec![stats], overhead_s: 0.0 };
-                    return Ok(record_outcome(&mut report, sim, pipeline, result));
-                }
-            }
-        }
-    }
-
-    // Fallback 3: sequential host transposition — cannot fail.
-    report.path = RecoveryPath::HostSequential;
-    let result = host_transpose_elems(&original, rows, cols, elem_words);
-    sim.upload_u32(data, &result);
-    Ok(record_outcome(&mut report, sim, PipelineStats::default(), result))
+    recover(sim, host_data, rows, cols, elem_words, Request::Plan(plan), opts, policy, rec, t0_s)
 }
 
-/// Execute a typed [`PlanDecision`](ipt_core::PlanDecision) with the full
-/// recovery contract — the single entry point the serving layer uses, so
-/// **every** scheme (including the degenerate and prime-shape
-/// short-circuits) flows through verified recovery:
-///
-/// * [`Scheme::Identity`](ipt_core::Scheme): row/column vectors are their
-///   own transpose in memory — the data is returned unchanged with a clean
-///   report (nothing to verify, nothing can fail),
-/// * [`Scheme::Coprime`](ipt_core::Scheme): the two-phase device kernels
-///   with an element-exact check; on failure (e.g. a row/column too long
-///   for local memory) the chain degrades to the out-of-place kernel and
-///   then the host path,
-/// * every staged scheme (`staged`, `gcd-tiled`, `square-tiled`,
-///   `single-stage`): [`transpose_with_recovery_elems`] on the decision's
-///   plan.
-///
-/// `elem_words` is the element size in 32-bit words (1 for `f32`/`u32`,
-/// 2 for `f64`). Coprime device kernels are word-granular, so wide
-/// elements on a coprime shape go straight to the (verified) host path.
+/// [`transpose_scheme_with_recovery_rec`] with a [`NoopRecorder`].
 ///
 /// # Errors
-/// [`TransposeError`] on configuration errors, or any pipeline error when
-/// `policy.allow_fallback` is off.
+/// Same contract as [`transpose_scheme_with_recovery_rec`].
 #[allow(clippy::too_many_arguments)]
 pub fn transpose_scheme_with_recovery(
     sim: &mut Sim,
@@ -781,34 +812,41 @@ pub fn transpose_scheme_with_recovery(
     rows: usize,
     cols: usize,
     elem_words: usize,
-    decision: &ipt_core::PlanDecision,
+    decision: &PlanDecision,
     opts: &GpuOptions,
     policy: &RecoveryPolicy,
 ) -> Result<(PipelineStats, RecoveryReport), TransposeError> {
     transpose_scheme_with_recovery_rec(
-        sim,
-        host_data,
-        rows,
-        cols,
-        elem_words,
-        decision,
-        opts,
-        policy,
-        &NoopRecorder,
-        0.0,
+        sim, host_data, rows, cols, elem_words, decision, opts, policy, &NoopRecorder, 0.0,
     )
 }
 
-/// [`transpose_scheme_with_recovery`] instrumented with a [`Recorder`]:
-/// staged-family schemes thread the recorder through validated recovery,
-/// so kernel-launch spans land inside any ambient trace context the
-/// serving layer pushed (coprime/identity short-circuits stay
-/// span-silent; their outcome is still visible in the returned report).
-/// With [`NoopRecorder`] this is exactly
-/// [`transpose_scheme_with_recovery`].
+/// Execute a typed [`PlanDecision`] with the full recovery contract — the
+/// single entry point the serving layer uses, so **every** scheme
+/// (including the degenerate and prime-shape short-circuits) flows through
+/// verified recovery:
+///
+/// * [`Scheme::Identity`]: row/column vectors are their own transpose in
+///   memory — the data is returned unchanged with a clean report (nothing
+///   to verify, nothing can fail),
+/// * [`Scheme::C2R`] and [`Scheme::Coprime`]: the device kernels with an
+///   element-exact check; on failure (e.g. a row/column too long for local
+///   memory) the chain degrades to the out-of-place kernel and then the
+///   host path. Their kernels are word-granular, so wide elements go
+///   straight to the (verified) host path,
+/// * every staged scheme (`staged`, `gcd-tiled`, `square-tiled`,
+///   `single-stage`): [`transpose_with_recovery`] on the decision's plan.
+///
+/// `elem_words` is the element size in 32-bit words (1 for `f32`/`u32`,
+/// 2 for `f64`). Staged-family schemes thread `rec` through validated
+/// recovery, so kernel-launch spans land inside any ambient trace context
+/// the serving layer pushed; the C2R, coprime and identity arms stay
+/// span-silent (their outcome is still visible in the returned report).
 ///
 /// # Errors
-/// Same contract as [`transpose_scheme_with_recovery`].
+/// [`TransposeError`] on configuration errors (including a zero dimension
+/// for any scheme but the identity), or any pipeline error when
+/// `policy.allow_fallback` is off.
 #[allow(clippy::too_many_arguments)]
 pub fn transpose_scheme_with_recovery_rec<R: Recorder>(
     sim: &mut Sim,
@@ -816,206 +854,14 @@ pub fn transpose_scheme_with_recovery_rec<R: Recorder>(
     rows: usize,
     cols: usize,
     elem_words: usize,
-    decision: &ipt_core::PlanDecision,
+    decision: &PlanDecision,
     opts: &GpuOptions,
     policy: &RecoveryPolicy,
     rec: &R,
     t0_s: f64,
 ) -> Result<(PipelineStats, RecoveryReport), TransposeError> {
-    use ipt_core::Scheme;
-    if elem_words == 0 {
-        return Err(TransposeError::InvalidConfig { what: "elem_words must be ≥ 1".into() });
-    }
-    let Some(words) = ipt_core::check::checked_bytes(rows, cols, elem_words)
-        .and_then(|w| usize::try_from(w).ok())
-    else {
-        return Err(TransposeError::InvalidConfig {
-            what: format!("{rows}×{cols}×{elem_words} words overflows the address space"),
-        });
-    };
-    if host_data.len() != words {
-        return Err(TransposeError::InvalidConfig {
-            what: format!(
-                "host data has {} words but the matrix needs {words} ({rows}×{cols} elements \
-                 of {elem_words} words)",
-                host_data.len(),
-            ),
-        });
-    }
-
-    match decision.scheme {
-        // Degenerate short-circuit: a 1×n or m×1 matrix transposes to
-        // itself in linear storage. No device work, no failure modes.
-        Scheme::Identity => Ok((PipelineStats::default(), RecoveryReport::new(RecoveryPath::Primary))),
-
-        Scheme::Coprime => {
-            if !ipt_core::coprime::is_coprime_shape(rows, cols) {
-                return Err(TransposeError::InvalidConfig {
-                    what: format!(
-                        "decision says coprime but gcd({rows}, {cols}) ≠ 1 — stale decision?"
-                    ),
-                });
-            }
-            let mut report = RecoveryReport::new(RecoveryPath::Primary);
-            let original = host_data.clone();
-            // Word-sized elements: the two-phase device kernels.
-            if elem_words == 1 {
-                let data = sim.try_alloc(words).ok_or(TransposeError::DeviceOom {
-                    need: words,
-                    free: sim.free_words(),
-                })?;
-                sim.upload_u32(data, &original);
-                let attempt = crate::coprime::transpose_coprime_on_device(
-                    sim,
-                    data,
-                    rows,
-                    cols,
-                    opts.wg_size,
-                )
-                .map_err(TransposeError::from)
-                .and_then(|stats| {
-                    let result = sim.download_u32(data);
-                    verify_exact(&original, &result, rows, cols)?;
-                    Ok((stats, result))
-                });
-                match attempt {
-                    Ok((stats, result)) => {
-                        report.faults = sim.fault_records();
-                        *host_data = result;
-                        return Ok((stats, report));
-                    }
-                    Err(e) => {
-                        if !policy.allow_fallback {
-                            return Err(e);
-                        }
-                        report.primary_error = Some(e.to_string());
-                    }
-                }
-                // Out-of-place fallback, if a second copy fits.
-                sim.upload_u32(data, &original);
-                report.path = RecoveryPath::OutOfPlace;
-                if let Some(dst) = sim.try_alloc(words) {
-                    let oop = crate::oop::OopTranspose { src: data, dst, rows, cols };
-                    if let Ok(stats) = sim.launch(&oop) {
-                        let result = sim.download_u32(dst);
-                        if verify_exact(&original, &result, rows, cols).is_ok() {
-                            sim.upload_u32(data, &result);
-                            report.faults = sim.fault_records();
-                            *host_data = result;
-                            return Ok((
-                                PipelineStats { stages: vec![stats], overhead_s: 0.0 },
-                                report,
-                            ));
-                        }
-                    }
-                }
-            } else {
-                if !policy.allow_fallback {
-                    return Err(TransposeError::InvalidConfig {
-                        what: format!(
-                            "coprime device kernels are word-granular; {elem_words}-word \
-                             elements need the host fallback, which the policy disallows"
-                        ),
-                    });
-                }
-                report.primary_error = Some(
-                    "coprime device kernels are word-granular; wide elements served by the \
-                     host path"
-                        .into(),
-                );
-            }
-            // Host tail — cannot fail.
-            report.path = RecoveryPath::HostSequential;
-            report.faults = sim.fault_records();
-            *host_data = host_transpose_elems(&original, rows, cols, elem_words);
-            Ok((PipelineStats::default(), report))
-        }
-
-        // C2R/R2C decomposition: total over every shape (no coprimality
-        // guard to go stale), so the chain is device kernels → out-of-place
-        // retry → host tail, same shape as the coprime arm it supersedes.
-        Scheme::C2R => {
-            let mut report = RecoveryReport::new(RecoveryPath::Primary);
-            let original = host_data.clone();
-            if elem_words == 1 {
-                let data = sim.try_alloc(words).ok_or(TransposeError::DeviceOom {
-                    need: words,
-                    free: sim.free_words(),
-                })?;
-                sim.upload_u32(data, &original);
-                let attempt =
-                    crate::c2r::transpose_c2r_on_device(sim, data, rows, cols, opts.wg_size)
-                        .map_err(TransposeError::from)
-                        .and_then(|stats| {
-                            let result = sim.download_u32(data);
-                            verify_exact(&original, &result, rows, cols)?;
-                            Ok((stats, result))
-                        });
-                match attempt {
-                    Ok((stats, result)) => {
-                        report.faults = sim.fault_records();
-                        *host_data = result;
-                        return Ok((stats, report));
-                    }
-                    Err(e) => {
-                        if !policy.allow_fallback {
-                            return Err(e);
-                        }
-                        report.primary_error = Some(e.to_string());
-                    }
-                }
-                // Out-of-place fallback, if a second copy fits.
-                sim.upload_u32(data, &original);
-                report.path = RecoveryPath::OutOfPlace;
-                if let Some(dst) = sim.try_alloc(words) {
-                    let oop = crate::oop::OopTranspose { src: data, dst, rows, cols };
-                    if let Ok(stats) = sim.launch(&oop) {
-                        let result = sim.download_u32(dst);
-                        if verify_exact(&original, &result, rows, cols).is_ok() {
-                            sim.upload_u32(data, &result);
-                            report.faults = sim.fault_records();
-                            *host_data = result;
-                            return Ok((
-                                PipelineStats { stages: vec![stats], overhead_s: 0.0 },
-                                report,
-                            ));
-                        }
-                    }
-                }
-            } else {
-                if !policy.allow_fallback {
-                    return Err(TransposeError::InvalidConfig {
-                        what: format!(
-                            "c2r device kernels are word-granular; {elem_words}-word elements \
-                             need the host fallback, which the policy disallows"
-                        ),
-                    });
-                }
-                report.primary_error = Some(
-                    "c2r device kernels are word-granular; wide elements served by the host \
-                     path"
-                        .into(),
-                );
-            }
-            // Host tail — cannot fail.
-            report.path = RecoveryPath::HostSequential;
-            report.faults = sim.fault_records();
-            *host_data = host_transpose_elems(&original, rows, cols, elem_words);
-            Ok((PipelineStats::default(), report))
-        }
-
-        // Staged family: square-tiled, heuristic staged, gcd-tiled and the
-        // conservative single-stage all execute as (possibly degenerate)
-        // stage plans under the standard validated-recovery chain.
-        Scheme::SquareTiled | Scheme::Staged | Scheme::GcdTiled | Scheme::SingleStage => {
-            let plan = decision
-                .staged_plan(rows, cols)
-                .expect("staged-family schemes always yield a plan");
-            transpose_with_recovery_elems_rec(
-                sim, host_data, rows, cols, elem_words, &plan, opts, policy, rec, t0_s,
-            )
-        }
-    }
+    let request = Request::Decision(decision);
+    recover(sim, host_data, rows, cols, elem_words, request, opts, policy, rec, t0_s)
 }
 
 #[cfg(test)]
@@ -1048,9 +894,12 @@ mod tests {
             &mut data,
             72,
             60,
+            1,
             &plan,
             &opts,
             &RecoveryPolicy::default(),
+            &NoopRecorder,
+            0.0,
         )
         .unwrap();
         assert_eq!(data, want);
@@ -1069,9 +918,12 @@ mod tests {
             &mut data,
             72,
             60,
+            1,
             &plan,
             &opts,
             &RecoveryPolicy::default(),
+            &NoopRecorder,
+            0.0,
         )
         .unwrap_err();
         assert!(matches!(err, TransposeError::InvalidConfig { .. }), "{err}");
@@ -1088,9 +940,12 @@ mod tests {
             &mut data,
             48,
             90,
+            1,
             &plan,
             &opts,
             &RecoveryPolicy::default(),
+            &NoopRecorder,
+            0.0,
         )
         .unwrap_err();
         assert!(matches!(err, TransposeError::InvalidConfig { .. }), "{err}");
@@ -1107,9 +962,12 @@ mod tests {
             &mut data,
             72,
             60,
+            1,
             &plan,
             &opts,
             &RecoveryPolicy::default(),
+            &NoopRecorder,
+            0.0,
         )
         .unwrap_err();
         assert!(matches!(err, TransposeError::DeviceOom { .. }), "{err}");
@@ -1130,9 +988,12 @@ mod tests {
             &mut data,
             72,
             60,
+            1,
             &plan,
             &opts,
             &RecoveryPolicy::default(),
+            &NoopRecorder,
+            0.0,
         )
         .unwrap();
         assert_eq!(data, want);
@@ -1156,9 +1017,12 @@ mod tests {
             &mut data,
             72,
             60,
+            1,
             &plan,
             &opts,
             &RecoveryPolicy::default(),
+            &NoopRecorder,
+            0.0,
         )
         .unwrap();
         assert_eq!(data, want);
@@ -1179,7 +1043,18 @@ mod tests {
         let policy =
             RecoveryPolicy { max_stage_retries: 0, retry_backoff_s: 1e-4, allow_fallback: false, seed: 0 };
         let err =
-            transpose_with_recovery(&mut sim, &mut data, 72, 60, &plan, &opts, &policy)
+            transpose_with_recovery(
+            &mut sim,
+            &mut data,
+            72,
+            60,
+            1,
+            &plan,
+            &opts,
+            &policy,
+            &NoopRecorder,
+            0.0,
+        )
                 .unwrap_err();
         assert!(matches!(err, TransposeError::RecoveryExhausted { .. }), "{err}");
     }
@@ -1197,7 +1072,18 @@ mod tests {
         let policy =
             RecoveryPolicy { max_stage_retries: 0, retry_backoff_s: 1e-4, allow_fallback: true, seed: 0 };
         let (_, report) =
-            transpose_with_recovery(&mut sim, &mut data, 72, 60, &plan, &opts, &policy)
+            transpose_with_recovery(
+            &mut sim,
+            &mut data,
+            72,
+            60,
+            1,
+            &plan,
+            &opts,
+            &policy,
+            &NoopRecorder,
+            0.0,
+        )
                 .unwrap();
         assert_eq!(data, want);
         assert_eq!(report.path, RecoveryPath::ConservativeOptions);
@@ -1432,7 +1318,7 @@ mod tests {
         let opts = GpuOptions::tuned_for(sim.device());
         let mut data: Vec<u32> = (0..2 * 72 * 60).map(|x| (x * 7 + 3) as u32).collect();
         let original = data.clone();
-        let (_, report) = transpose_with_recovery_elems(
+        let (_, report) = transpose_with_recovery(
             &mut sim,
             &mut data,
             72,
@@ -1441,10 +1327,87 @@ mod tests {
             &plan,
             &opts,
             &RecoveryPolicy::default(),
+            &NoopRecorder,
+            0.0,
         )
         .unwrap();
         assert_eq!(data, host_transpose_elems(&original, 72, 60, 2));
         assert!(report.clean(), "{report:?}");
+    }
+
+    #[test]
+    fn verify_rejects_length_mismatch_and_zero_width() {
+        let src = Matrix::iota(3, 5).into_vec();
+        let good = host_transpose(&src, 3, 5);
+        verify_exact_elems(&src, &good, 3, 5, 1).unwrap();
+        // Short result: typed error, not an out-of-bounds panic.
+        assert!(verify_exact_elems(&src, &good[..14], 3, 5, 1).is_err());
+        // Long result: the extra words cannot go unchecked.
+        let mut long = good.clone();
+        long.push(0);
+        assert!(verify_exact_elems(&src, &long, 3, 5, 1).is_err());
+        // Zero-width elements: typed error, not a `chunks_exact(0)` panic.
+        assert!(verify_exact_elems(&src, &good, 3, 5, 0).is_err());
+    }
+
+    #[test]
+    fn zero_dimensions_are_invalid_config_on_every_non_identity_arm() {
+        use ipt_core::{FallbackReason, PlanDecision, Scheme};
+        let n = 7;
+        for (rows, cols) in [(0, n), (n, 0)] {
+            for scheme in [
+                Scheme::C2R,
+                Scheme::Coprime,
+                Scheme::Staged,
+                Scheme::SingleStage,
+                Scheme::SquareTiled,
+                Scheme::GcdTiled,
+            ] {
+                let d = PlanDecision {
+                    scheme,
+                    reason: FallbackReason::NoFeasibleTile { rows, cols },
+                    tile: None,
+                };
+                let mut sim = Sim::new(DeviceSpec::tesla_k20(), 64);
+                let opts = GpuOptions::tuned_for(sim.device());
+                let mut data = Vec::new();
+                let err = transpose_scheme_with_recovery(
+                    &mut sim,
+                    &mut data,
+                    rows,
+                    cols,
+                    1,
+                    &d,
+                    &opts,
+                    &RecoveryPolicy::default(),
+                )
+                .unwrap_err();
+                assert!(
+                    matches!(err, TransposeError::InvalidConfig { .. }),
+                    "{scheme:?} {rows}x{cols}: {err}"
+                );
+            }
+            // The identity arm has nothing to move: an empty matrix is fine.
+            let d = PlanDecision {
+                scheme: Scheme::Identity,
+                reason: FallbackReason::NoFeasibleTile { rows, cols },
+                tile: None,
+            };
+            let mut sim = Sim::new(DeviceSpec::tesla_k20(), 4);
+            let opts = GpuOptions::tuned_for(sim.device());
+            let (_, report) = transpose_scheme_with_recovery(
+                &mut sim,
+                &mut Vec::new(),
+                rows,
+                cols,
+                1,
+                &d,
+                &opts,
+                &RecoveryPolicy::default(),
+            )
+            .unwrap();
+            assert!(report.clean());
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@
 //! memoizes *plans*, never results — and the whole layer is traced through
 //! [`ipt_obs`].
 
-use crate::autotune::{choose_tile_rec, TuneLog};
+use crate::autotune::{choose_tile, TuneLog};
 use crate::multi::LinkTopology;
 use crate::opts::GpuOptions;
 use crate::pipeline::plan_flag_words;
@@ -63,7 +63,7 @@ use crate::recover::{
     RecoveryReport, TransposeError,
 };
 use gpu_sim::sched::mix64;
-use gpu_sim::{try_simulate_engines_at, DeviceSpec, ECmd, EngineMode, Sim, Timeline};
+use gpu_sim::{simulate, Des, DeviceSpec, ECmd, EngineMode, Sim, Timeline};
 use ipt_core::stages::{StagePlan, TileConfig};
 use ipt_core::tiles::TileHeuristic;
 use ipt_core::{decide_scheme, FallbackReason, PlanDecision, Scheme};
@@ -236,14 +236,14 @@ pub fn build_plan<R: Recorder>(
     let mut tune = TuneLog::default();
     let mut wg_size = None;
     if decision.scheme == Scheme::Staged {
-        let (tile, log) = choose_tile_rec(dev, rows, cols, heuristic, opts, rec);
+        let (tile, log) = choose_tile(dev, rows, cols, heuristic, opts, rec);
         tune = log;
         if tile.is_some() {
             decision.tile = tile;
         }
     } else if decision.scheme == Scheme::C2R {
         // C2R has no tile to tune; its knob is the work-group size.
-        let (wg, log) = crate::autotune::choose_c2r_wg_rec(dev, rows, cols, rec);
+        let (wg, log) = crate::autotune::choose_c2r_wg(dev, rows, cols, rec);
         tune = log;
         wg_size = Some(wg);
     }
@@ -1045,24 +1045,9 @@ impl Server {
                 let (h2d_e, d2h_e) = self.cfg.link.link_engines(self.cfg.devices, device);
                 let xfer = self.dev.pcie.transfer_time(batch_bytes);
                 queues.push(vec![
-                    ECmd {
-                        engine: h2d_e,
-                        duration_s: xfer,
-                        label: format!("H2D batch {q}").into(),
-                        wait: None,
-                    },
-                    ECmd {
-                        engine: device,
-                        duration_s: kernel_s,
-                        label: format!("{} batch {q}", key.scheme.name()).into(),
-                        wait: None,
-                    },
-                    ECmd {
-                        engine: d2h_e,
-                        duration_s: xfer,
-                        label: format!("D2H batch {q}").into(),
-                        wait: None,
-                    },
+                    ECmd::new(h2d_e, xfer, format!("H2D batch {q}").into()),
+                    ECmd::new(device, kernel_s, format!("{} batch {q}", key.scheme.name()).into()),
+                    ECmd::new(d2h_e, xfer, format!("D2H batch {q}").into()),
                 ]);
                 arrivals.push(arrival.max(0.0));
                 launched.push((q, idxs));
@@ -1212,12 +1197,10 @@ impl Server {
         let timeline = if prepared.is_launchless() {
             Timeline { spans: Vec::new(), total_s: 0.0, setup_s: 0.0 }
         } else {
-            try_simulate_engines_at(
-                self.num_engines(),
-                self.dev.queue_create_overhead_s,
-                &prepared.queues,
-                &prepared.arrivals,
-            )?
+            simulate(&Des {
+                arrivals: &prepared.arrivals,
+                ..Des::new(self.num_engines(), self.dev.queue_create_overhead_s, &prepared.queues)
+            })?
         };
         Ok(self.finish_round(prepared, timeline, rec))
     }

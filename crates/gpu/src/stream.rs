@@ -39,10 +39,7 @@ use crate::recover::{
     TransposeError,
 };
 use gpu_sim::fault::{FaultKind, FaultPlan, FaultSource};
-use gpu_sim::queue::{
-    try_simulate_queues_crash, try_simulate_queues_dep, Cmd, EngineCrash, QCmd, QueueError,
-    Timeline,
-};
+use gpu_sim::queue::{lower, simulate, Cmd, Des, EngineCrash, QCmd, QueueError, Timeline};
 use gpu_sim::{ChaosPlan, DeviceSpec, Sim};
 use ipt_core::check;
 use ipt_core::outofcore::{plan_chunks, ChunkPlan};
@@ -443,13 +440,9 @@ pub fn stream_transpose_rec<R: Recorder>(
         for k in est.iter_mut().skip(boundary) {
             *k = mean_k;
         }
-        let full_queues = stream_queues(&plan, &est, path, 0, plan.num_chunks);
-        match try_simulate_queues_crash(
-            dev,
-            &full_queues,
-            None,
-            Some(EngineCrash { engine: *engine, at_s }),
-        ) {
+        let full_queues = lower(dev, &stream_queues(&plan, &est, path, 0, plan.num_chunks));
+        let crash = Some(EngineCrash { engine: *engine, at_s });
+        match simulate(&Des { crash, ..Des::device(dev, &full_queues) }) {
             Err(QueueError::EngineCrash { .. }) => {}
             Ok(_) => {
                 // Degenerate schedule (e.g. crash boundary at the very end):
@@ -814,8 +807,8 @@ fn simulate_stream(
     from: usize,
     to: usize,
 ) -> Result<Timeline, TransposeError> {
-    let queues = stream_queues(plan, kernel_s, path, from, to);
-    Ok(try_simulate_queues_dep(dev, &queues, None)?)
+    let queues = lower(dev, &stream_queues(plan, kernel_s, path, from, to));
+    Ok(simulate(&Des::device(dev, &queues))?)
 }
 
 #[cfg(test)]

@@ -21,6 +21,7 @@ use ipt_gpu::opts::GpuOptions;
 use ipt_gpu::pipeline::{plan_flag_words, run_instanced_public, select_kernel, StageKernel};
 use ipt_gpu::recover::{transpose_with_recovery, RecoveryPolicy, TransposeError};
 use ipt_gpu::{run_host_async_recovering, run_host_sync_recovering};
+use ipt_obs::NoopRecorder;
 
 const CAMPAIGN_SEEDS: u64 = 240;
 const REPRO_SEEDS: u64 = 24;
@@ -62,9 +63,12 @@ fn device_run(
         &mut data,
         rows,
         cols,
+        1,
         plan,
         &opts,
         &RecoveryPolicy::default(),
+        &NoopRecorder,
+        0.0,
     ) {
         Ok((_, report)) => {
             assert_eq!(data, want, "silent corruption (config {config}, seed {seed})");
@@ -164,6 +168,7 @@ fn host_sync_run(seed: u64) -> Outcome {
         &opts,
         &RecoveryPolicy::default(),
         Some(FaultPlan::from_seed(seed)),
+        &NoopRecorder,
     ) {
         Ok((rep, report)) => {
             assert!(rep.total_s > 0.0);

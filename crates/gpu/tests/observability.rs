@@ -118,7 +118,7 @@ fn conflicts_with(flags: FlagLayout) -> TraceRecorder {
     let data: Vec<u32> = (0..op.total_len() as u32).collect();
     sim.upload_u32(buf, &data);
     let k = ipt_gpu::Pttwac010 { data: buf, instances, rows, cols, wg_size: 256, flags, backoff: None };
-    sim.launch_rec(&k, &rec, 0.0).expect("feasible");
+    sim.launch(&k, &rec, 0.0).expect("feasible");
     let mut want = data;
     op.apply_seq(&mut want);
     assert_eq!(sim.download_u32(buf), want, "{flags:?} must still transpose correctly");

@@ -29,12 +29,15 @@ fn sung_variant_infeasible_for_large_m_on_amd() {
         fuse_tile: None,
         backoff: None,
     };
-    assert!(sim.launch(&k).is_err(), "m=300 work-groups must not launch on AMD");
+    assert!(
+        sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).is_err(),
+        "m=300 work-groups must not launch on AMD"
+    );
     // The warp-based variant handles the same m fine (§5.2.1 flexibility).
     let k = Pttwac100 { variant: Variant100::WarpLocalTile, wg_size: 256, ..k };
     sim.zero(flags);
     // flags needs 1 word for 12 super-elements → already allocated.
-    let stats = sim.launch(&k).expect("warp variant is flexible");
+    let stats = sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).expect("warp variant is flexible");
     assert!(stats.time_s > 0.0);
 }
 

@@ -134,7 +134,7 @@ fn run_under(
     let stats = match fam {
         Fam::Bs => {
             let k = BsKernel { data, instances, rows, cols, super_size, wg_size: 64 };
-            sim.launch_rec(&k, &rec, 0.0).expect("bs launch")
+            sim.launch(&k, &rec, 0.0).expect("bs launch")
         }
         Fam::P010 => {
             let k = Pttwac010 {
@@ -146,15 +146,15 @@ fn run_under(
                 flags: FlagLayout::Packed,
                 backoff: None,
             };
-            sim.launch_rec(&k, &rec, 0.0).expect("010 launch")
+            sim.launch(&k, &rec, 0.0).expect("010 launch")
         }
         Fam::CoprimeRow => {
             let k = CoprimeRowScramble::new(data, rows, cols, 64);
-            sim.launch_rec(&k, &rec, 0.0).expect("coprime-row launch")
+            sim.launch(&k, &rec, 0.0).expect("coprime-row launch")
         }
         Fam::CoprimeCol => {
             let k = CoprimeColShuffle { data, rows, cols, wg_size: 64 };
-            sim.launch_rec(&k, &rec, 0.0).expect("coprime-col launch")
+            sim.launch(&k, &rec, 0.0).expect("coprime-col launch")
         }
         Fam::C2rRotate | Fam::C2rRows | Fam::C2rCols => {
             // C2R passes are WgLocal whatever the gcd, so the parallel
@@ -166,12 +166,12 @@ fn run_under(
                 _ => C2rPassKind::ColShuffle,
             };
             let k = C2rLinePass::new(data, geom, kind, 64, &DeviceSpec::tesla_k20(), None);
-            sim.launch_rec(&k, &rec, 0.0).expect("c2r launch")
+            sim.launch(&k, &rec, 0.0).expect("c2r launch")
         }
         Fam::Oop => {
             let dst = sim.alloc(op.total_len());
             let k = OopTranspose { src: data, dst, rows, cols };
-            let stats = sim.launch_rec(&k, &rec, 0.0).expect("oop launch");
+            let stats = sim.launch(&k, &rec, 0.0).expect("oop launch");
             // Observe the *destination* buffer for OOP.
             return Observed {
                 mem: sim.download_u32(dst),
@@ -195,7 +195,7 @@ fn run_under(
                 fuse_tile,
                 backoff,
             };
-            sim.launch_rec(&k, &rec, 0.0).expect("100 launch")
+            sim.launch(&k, &rec, 0.0).expect("100 launch")
         }
     };
     Observed { mem: sim.download_u32(data), stats, trace: chrome_trace_json(&rec) }
@@ -308,7 +308,7 @@ fn run_p100_ineligible(feature: Ineligible, engine: EngineMode) -> Observed {
         fuse_tile: None,
         backoff: Some(ClaimBackoff::mild(5)),
     };
-    let stats = sim.launch_rec(&k, &rec, 0.0).expect("100 launch");
+    let stats = sim.launch(&k, &rec, 0.0).expect("100 launch");
     Observed { mem: sim.download_u32(data), stats, trace: chrome_trace_json(&rec) }
 }
 

@@ -32,7 +32,7 @@ proptest! {
         let buf = sim.alloc(op.total_len());
         sim.upload_u32(buf, &(0..op.total_len() as u32).collect::<Vec<_>>());
         let k = BsKernel { data: buf, instances: inst, rows, cols, super_size: s, wg_size: wg };
-        sim.launch(&k).unwrap();
+        sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).unwrap();
         prop_assert_eq!(sim.download_u32(buf), expected(&op));
     }
 
@@ -49,7 +49,7 @@ proptest! {
         let buf = sim.alloc(op.total_len());
         sim.upload_u32(buf, &(0..op.total_len() as u32).collect::<Vec<_>>());
         let k = Pttwac010 { data: buf, instances: inst, rows, cols, wg_size: 128, flags, backoff: None };
-        sim.launch(&k).unwrap();
+        sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).unwrap();
         prop_assert_eq!(sim.download_u32(buf), expected(&op));
     }
 
@@ -79,7 +79,7 @@ proptest! {
             variant: variant.resolve(s, dev.simd_width), wg_size: 256, fuse_tile: None,
             backoff: None,
         };
-        sim.launch(&k).unwrap();
+        sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).unwrap();
         prop_assert_eq!(sim.download_u32(data), expected(&op));
     }
 

@@ -32,7 +32,7 @@ fn run_under(fam: Fam, rows: usize, cols: usize, policy: SchedPolicy) -> Vec<u32
     match fam {
         Fam::Bs => {
             let k = BsKernel { data, instances: 1, rows, cols, super_size, wg_size: 64 };
-            sim.launch(&k).expect("bs launch");
+            sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).expect("bs launch");
         }
         Fam::P010 => {
             let k = Pttwac010 {
@@ -44,7 +44,7 @@ fn run_under(fam: Fam, rows: usize, cols: usize, policy: SchedPolicy) -> Vec<u32
                 flags: FlagLayout::Packed,
                 backoff: None,
             };
-            sim.launch(&k).expect("010 launch");
+            sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).expect("010 launch");
         }
         Fam::P100 => {
             let flags = sim.alloc(flag_words);
@@ -61,7 +61,7 @@ fn run_under(fam: Fam, rows: usize, cols: usize, policy: SchedPolicy) -> Vec<u32
                 fuse_tile: None,
                 backoff: None,
             };
-            sim.launch(&k).expect("100 launch");
+            sim.launch(&k, &ipt_obs::NoopRecorder, 0.0).expect("100 launch");
         }
     }
     sim.download_u32(data)

@@ -132,17 +132,43 @@ fn any_shape_api_handles_awkward_dimensions() {
 
 #[test]
 fn f64_device_path_matches_f32_semantics() {
-    use ipt::gpu::{scale_plan_words, transpose_on_device_f64};
+    use ipt::gpu::{scale_plan_words, transpose_with_recovery, RecoveryPath, RecoveryPolicy};
     let (r, c) = (48, 90);
     let plan = StagePlan::three_stage(r, c, TileConfig::new(8, 9)).unwrap();
     let dev = DeviceSpec::tesla_k20();
     let opts = GpuOptions::tuned_for(&dev);
     let scaled = scale_plan_words(&plan, 2);
     let mut sim = Sim::new(dev, 2 * r * c + plan_flag_words(&scaled) + 64);
-    let mut data: Vec<f64> = (0..r * c).map(|k| (k as f64).sin()).collect();
-    // Bit-exact verification happens inside.
-    let stats = transpose_on_device_f64(&mut sim, &mut data, r, c, &plan, &opts).unwrap();
+    let data: Vec<f64> = (0..r * c).map(|k| (k as f64).sin()).collect();
+    // Each f64 travels as a (low, high) pair of 32-bit words.
+    let mut words: Vec<u32> =
+        data.iter().flat_map(|v| [v.to_bits() as u32, (v.to_bits() >> 32) as u32]).collect();
+    // Fallback off: only the requested device pipeline may produce the
+    // result, and it is verified element-exact inside.
+    let policy = RecoveryPolicy { allow_fallback: false, ..RecoveryPolicy::default() };
+    let (stats, report) = transpose_with_recovery(
+        &mut sim,
+        &mut words,
+        r,
+        c,
+        2,
+        &plan,
+        &opts,
+        &policy,
+        &ipt_obs::NoopRecorder,
+        0.0,
+    )
+    .unwrap();
+    assert_eq!(report.path, RecoveryPath::Primary);
     assert!(stats.time_s() > 0.0);
+    let got: Vec<f64> = words
+        .chunks_exact(2)
+        .map(|w| f64::from_bits(u64::from(w[0]) | (u64::from(w[1]) << 32)))
+        .collect();
+    for (k, v) in data.iter().enumerate() {
+        let (i, j) = (k / c, k % c);
+        assert_eq!(got[j * r + i].to_bits(), v.to_bits(), "element ({i}, {j})");
+    }
 }
 
 #[test]
