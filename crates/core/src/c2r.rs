@@ -13,8 +13,19 @@
 //! where `c = gcd(M, N)`, `a = M/c`, `b = N/c`. Every line permutes
 //! independently of every other line of its pass, so there are no
 //! per-element claim flags, no atomics, and perfect load balance; the
-//! scratch requirement is one line (`max(M, N)` elements) per worker —
-//! never a second matrix.
+//! scratch requirement is one panel per worker — never a second matrix.
+//!
+//! ## Host engine
+//!
+//! Column passes run over panels one cache line wide (`W = 64 /
+//! size_of::<T>()` columns): the panel is copied out row-major (`W·M`
+//! elements of scratch, or one `N`-element row for the row pass if that
+//! is longer), then rewritten row by row. Every line walks its index map
+//! incrementally — the rotate pass computes one shift per column, the row
+//! shuffle steps the scatter form `d(q) = (q·M + (i − ⌊q/b⌋) mod M) mod N`
+//! by adding `M mod N`, and the column shuffle steps `t += N` — so no pass
+//! divides per element. The closed-form gathers below remain the
+//! specification the walks are tested against.
 //!
 //! ## Derivation (gather forms)
 //!
@@ -128,132 +139,340 @@ impl C2rGeometry {
     }
 }
 
-/// Stage column `col` into `tmp`, then overwrite it through the gather
-/// `src`: `col[k] = tmp[src(k)]`.
-fn apply_col_pass<T: Copy>(
-    data: &mut [T],
-    geom: &C2rGeometry,
-    col: usize,
-    tmp: &mut Vec<T>,
-    src: impl Fn(usize) -> usize,
-) {
-    let (m, n) = (geom.m, geom.n);
-    tmp.clear();
-    tmp.extend((0..m).map(|r| data[r * n + col]));
-    for k in 0..m {
-        data[k * n + col] = tmp[src(k)];
+impl C2rGeometry {
+    /// Phase 1 in place over a row-major `M × N` buffer, sequentially:
+    /// rotate column `q` down by `⌊q/b⌋` (an identity pass when `c = 1`).
+    ///
+    /// # Panics
+    /// Panics if `data.len() != M·N`.
+    pub fn rotate_columns<T: Copy>(&self, data: &mut [T]) {
+        assert_eq!(data.len(), self.m * self.n);
+        col_pass_seq(data, self, 1, |q| RotateWalk::new(self, q));
+    }
+
+    /// Phase 2 in place over a row-major `M × N` buffer, sequentially.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != M·N`.
+    pub fn shuffle_rows<T: Copy>(&self, data: &mut [T]) {
+        assert_eq!(data.len(), self.m * self.n);
+        row_pass_seq(data, self, 1);
+    }
+
+    /// Phase 3 in place over a row-major `M × N` buffer, sequentially.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != M·N`.
+    pub fn shuffle_columns<T: Copy>(&self, data: &mut [T]) {
+        assert_eq!(data.len(), self.m * self.n);
+        col_pass_seq(data, self, 1, |j| ShuffleWalk::new(self, j));
     }
 }
 
-/// Stage row `i` into `tmp`, then overwrite it through the phase-2 gather.
-fn apply_row_pass<T: Copy>(row: &mut [T], geom: &C2rGeometry, i: usize, tmp: &mut Vec<T>) {
-    tmp.clear();
-    tmp.extend_from_slice(row);
-    for (j, slot) in row.iter_mut().enumerate() {
-        *slot = tmp[geom.row_shuffle_src_col(i, j)];
+/// `x mod m` for `x < 2m`.
+#[inline(always)]
+fn wrap(x: usize, m: usize) -> usize {
+    if x >= m {
+        x - m
+    } else {
+        x
     }
 }
 
-/// Sequential in-place C2R transposition of a row-major `M × N` buffer.
-/// Total: any `M, N ≥ 1`. Scratch: one line (`max(M, N)` elements).
-///
-/// # Panics
-/// Panics if `data.len() != m_rows·n_cols` or a dimension is zero.
-pub fn transpose_c2r_seq<T: Copy>(data: &mut [T], m_rows: usize, n_cols: usize) {
-    assert_eq!(data.len(), m_rows * n_cols);
-    let geom = C2rGeometry::new(m_rows, n_cols);
-    let mut tmp = Vec::with_capacity(m_rows.max(n_cols));
-    if geom.needs_rotate() {
-        for q in 0..n_cols {
-            apply_col_pass(data, &geom, q, &mut tmp, |i| geom.rotate_src_row(i, q));
+/// An incremental walk down one line: each `step` yields the next index of
+/// the line's permutation with additions and compares only.
+trait Walk: Copy {
+    fn step(&mut self) -> usize;
+}
+
+/// Phase-1 gather down column `q`: output row `i` reads row
+/// `(i − ⌊q/b⌋) mod M`. One shift per column (`⌊q/b⌋ < c ≤ M`), then a
+/// wrapping counter.
+#[derive(Clone, Copy)]
+struct RotateWalk {
+    src: usize,
+    m: usize,
+}
+
+impl RotateWalk {
+    fn new(g: &C2rGeometry, q: usize) -> Self {
+        let shift = q / g.b;
+        Self { src: (g.m - shift) % g.m, m: g.m }
+    }
+}
+
+impl Walk for RotateWalk {
+    #[inline]
+    fn step(&mut self) -> usize {
+        let s = self.src;
+        self.src = wrap(s + 1, self.m);
+        s
+    }
+}
+
+/// Phase-2 scatter along row `i`: the element at column `q` moves to
+/// `d(q) = (q·M + (i − ⌊q/b⌋) mod M) mod N`. Stepping `q` adds `M mod N`
+/// to `q·M mod N`, and every `b` columns lowers `(i − ⌊q/b⌋) mod M` (kept
+/// with its residue mod `N`) by one.
+#[derive(Clone, Copy)]
+struct RowWalk {
+    /// `q·M mod N`.
+    qm: usize,
+    /// `(i − ⌊q/b⌋) mod M`.
+    r: usize,
+    /// `r mod N`.
+    r_mod_n: usize,
+    /// `q mod b`.
+    y: usize,
+    m: usize,
+    n: usize,
+    b: usize,
+    m_mod_n: usize,
+    /// `(M − 1) mod N`, where `r` wraps to.
+    top_mod_n: usize,
+}
+
+impl RowWalk {
+    fn new(g: &C2rGeometry, i: usize) -> Self {
+        Self {
+            qm: 0,
+            r: i,
+            r_mod_n: i % g.n,
+            y: 0,
+            m: g.m,
+            n: g.n,
+            b: g.b,
+            m_mod_n: g.m % g.n,
+            top_mod_n: (g.m - 1) % g.n,
         }
     }
-    for (i, row) in data.chunks_exact_mut(n_cols).enumerate() {
-        apply_row_pass(row, &geom, i, &mut tmp);
-    }
-    for col in 0..n_cols {
-        apply_col_pass(data, &geom, col, &mut tmp, |j_out| geom.col_shuffle_src_row(j_out, col));
+}
+
+impl Walk for RowWalk {
+    #[inline]
+    fn step(&mut self) -> usize {
+        let d = wrap(self.qm + self.r_mod_n, self.n);
+        self.qm = wrap(self.qm + self.m_mod_n, self.n);
+        self.y += 1;
+        if self.y == self.b {
+            self.y = 0;
+            if self.r == 0 {
+                self.r = self.m - 1;
+                self.r_mod_n = self.top_mod_n;
+            } else {
+                self.r -= 1;
+                self.r_mod_n = if self.r_mod_n == 0 { self.n - 1 } else { self.r_mod_n - 1 };
+            }
+        }
+        d
     }
 }
 
-/// Rayon-parallel C2R: columns in parallel, rows in parallel, columns in
-/// parallel — each worker keeps one line of scratch.
-///
-/// # Panics
-/// As [`transpose_c2r_seq`].
-pub fn transpose_c2r_par<T: Copy + Send + Sync>(data: &mut [T], m_rows: usize, n_cols: usize) {
-    assert_eq!(data.len(), m_rows * n_cols);
-    let geom = C2rGeometry::new(m_rows, n_cols);
-    // Columns: disjoint stride-N index sets; the same raw-pointer pattern
-    // as the cycle engine and `coprime::transpose_coprime_par`.
+/// Phase-3 gather down column `j`: output row `J` reads row
+/// `(t mod M + ⌊t/L⌋) mod M` with `t = J·N + j` and `L = M·b` — the
+/// closed form of [`C2rGeometry::col_shuffle_src_row`], since
+/// `⌊(t div M)/b⌋ = ⌊t/L⌋ < c ≤ M`. Each step adds `N` to `t`.
+#[derive(Clone, Copy)]
+struct ShuffleWalk {
+    /// `t mod M`.
+    t_mod_m: usize,
+    /// `t mod L`.
+    t_mod_l: usize,
+    /// `⌊t/L⌋`.
+    t_div_l: usize,
+    m: usize,
+    n: usize,
+    l: usize,
+    n_mod_m: usize,
+}
+
+impl ShuffleWalk {
+    fn new(g: &C2rGeometry, j: usize) -> Self {
+        Self {
+            t_mod_m: j % g.m,
+            t_mod_l: j,
+            t_div_l: 0,
+            m: g.m,
+            n: g.n,
+            l: g.m * g.b,
+            n_mod_m: g.n % g.m,
+        }
+    }
+}
+
+impl Walk for ShuffleWalk {
+    #[inline]
+    fn step(&mut self) -> usize {
+        let row = wrap(self.t_mod_m + self.t_div_l, self.m);
+        self.t_mod_m = wrap(self.t_mod_m + self.n_mod_m, self.m);
+        // N ≤ L, so one subtraction keeps `t mod L` reduced.
+        self.t_mod_l += self.n;
+        if self.t_mod_l >= self.l {
+            self.t_mod_l -= self.l;
+            self.t_div_l += 1;
+        }
+        row
+    }
+}
+
+/// Columns per panel of a column pass: one 64-byte cache line of
+/// elements, each `ew` consecutive `T`s (at least one column).
+fn panel_width<T>(ew: usize) -> usize {
+    (64 / (std::mem::size_of::<T>().max(1) * ew)).max(1)
+}
+
+/// Copy element `si` of `src` over element `di` of `dst` (elements of
+/// `ew` `T`s).
+#[inline(always)]
+fn put<T: Copy>(dst: &mut [T], di: usize, src: &[T], si: usize, ew: usize) {
+    if ew == 1 {
+        dst[di] = src[si];
+    } else {
+        dst[di * ew..(di + 1) * ew].copy_from_slice(&src[si * ew..(si + 1) * ew]);
+    }
+}
+
+/// One column pass over the panel of columns starting at `q0`: copy the
+/// panel row-major into `panel` (one cache line per row), then rewrite it
+/// row by row, column `q` taking the panel row its walk names.
+fn col_panel<T: Copy, W: Walk>(
+    data: &mut [T],
+    g: &C2rGeometry,
+    ew: usize,
+    q0: usize,
+    panel: &mut Vec<T>,
+    walk: &impl Fn(usize) -> W,
+) {
+    const MAX_WIDTH: usize = 64;
+    let width = panel_width::<T>(ew).min(g.n - q0);
+    debug_assert!(width <= MAX_WIDTH);
+    let (m, n) = (g.m, g.n);
+    panel.clear();
+    for r in 0..m {
+        panel.extend_from_slice(&data[(r * n + q0) * ew..(r * n + q0 + width) * ew]);
+    }
+    let mut walks = [walk(q0); MAX_WIDTH];
+    for (w, slot) in walks.iter_mut().enumerate().take(width).skip(1) {
+        *slot = walk(q0 + w);
+    }
+    for k in 0..m {
+        let row = &mut data[(k * n + q0) * ew..(k * n + q0 + width) * ew];
+        for (w, wk) in walks[..width].iter_mut().enumerate() {
+            put(row, w, panel, wk.step() * width + w, ew);
+        }
+    }
+}
+
+/// A column pass, panel by panel. Scratch: one panel (`width·M`
+/// elements).
+fn col_pass_seq<T: Copy, W: Walk>(
+    data: &mut [T],
+    g: &C2rGeometry,
+    ew: usize,
+    walk: impl Fn(usize) -> W,
+) {
+    let width = panel_width::<T>(ew);
+    let mut panel = Vec::with_capacity(width * g.m * ew);
+    for q0 in (0..g.n).step_by(width) {
+        col_panel(data, g, ew, q0, &mut panel, &walk);
+    }
+}
+
+/// [`col_pass_seq`] with panels in parallel, one panel of scratch per
+/// worker.
+fn col_pass_par<T: Copy + Send + Sync, W: Walk>(
+    data: &mut [T],
+    g: &C2rGeometry,
+    ew: usize,
+    walk: impl Fn(usize) -> W + Sync,
+) {
+    // Panels: disjoint column ranges; the same raw-pointer pattern as the
+    // cycle engine and `coprime::transpose_coprime_par`.
     struct Ptr<T>(*mut T);
+    // SAFETY: the one field is the matrix pointer; workers write through it
+    // only to their own panel's columns, and `T: Send` lets them.
     unsafe impl<T: Send> Sync for Ptr<T> {}
     impl<T> Ptr<T> {
         fn get(&self) -> *mut T {
             self.0
         }
     }
+    let width = panel_width::<T>(ew);
     let len = data.len();
-    let col_pass = |ptr: &Ptr<T>, src_for: &(dyn Fn(usize, usize) -> usize + Sync)| {
-        (0..n_cols).into_par_iter().for_each_init(
-            || Vec::with_capacity(m_rows),
-            |tmp, col| {
-                // SAFETY: column `col` touches only offsets ≡ col (mod N);
-                // columns are pairwise disjoint.
-                let data = unsafe { std::slice::from_raw_parts_mut(ptr.get(), len) };
-                apply_col_pass(data, &geom, col, tmp, |k| src_for(k, col));
-            },
-        );
-    };
-    if geom.needs_rotate() {
-        let ptr = Ptr(data.as_mut_ptr());
-        col_pass(&ptr, &|i, q| geom.rotate_src_row(i, q));
-    }
-    data.par_chunks_exact_mut(n_cols).enumerate().for_each_init(
-        || Vec::with_capacity(n_cols),
-        |tmp, (i, row)| apply_row_pass(row, &geom, i, tmp),
-    );
     let ptr = Ptr(data.as_mut_ptr());
-    col_pass(&ptr, &|j_out, col| geom.col_shuffle_src_row(j_out, col));
+    (0..g.n.div_ceil(width)).into_par_iter().for_each_init(
+        || Vec::with_capacity(width * g.m * ew),
+        |panel, p| {
+            // SAFETY: panel `p` touches only the elements of columns
+            // `p·width..(p + 1)·width`; panels are pairwise disjoint.
+            let data = unsafe { std::slice::from_raw_parts_mut(ptr.get(), len) };
+            col_panel(data, g, ew, p * width, panel, &walk);
+        },
+    );
 }
 
-/// Stage column `col` (elements of `ew` words each) into `tmp`, then
-/// overwrite it through the gather `src` — the wide-element twin of
-/// [`apply_col_pass`].
-fn apply_col_pass_elems(
-    data: &mut [u32],
-    geom: &C2rGeometry,
-    col: usize,
-    ew: usize,
-    tmp: &mut Vec<u32>,
-    src: impl Fn(usize) -> usize,
-) {
-    let (m, n) = (geom.m, geom.n);
-    tmp.clear();
-    for r in 0..m {
-        tmp.extend_from_slice(&data[(r * n + col) * ew..(r * n + col) * ew + ew]);
-    }
-    for k in 0..m {
-        let s = src(k) * ew;
-        data[(k * n + col) * ew..(k * n + col) * ew + ew].copy_from_slice(&tmp[s..s + ew]);
-    }
-}
-
-/// Stage row `i` (elements of `ew` words each) into `tmp`, then overwrite
-/// it through the phase-2 gather.
-fn apply_row_pass_elems(
-    row: &mut [u32],
-    geom: &C2rGeometry,
-    i: usize,
-    ew: usize,
-    tmp: &mut Vec<u32>,
-) {
+/// Phase 2 on row `i`: stage the row into `tmp`, then scatter it through
+/// the row walk.
+fn shuffle_row<T: Copy>(row: &mut [T], g: &C2rGeometry, i: usize, ew: usize, tmp: &mut Vec<T>) {
     tmp.clear();
     tmp.extend_from_slice(row);
-    for j in 0..geom.n {
-        let s = geom.row_shuffle_src_col(i, j) * ew;
-        row[j * ew..j * ew + ew].copy_from_slice(&tmp[s..s + ew]);
+    let mut walk = RowWalk::new(g, i);
+    for q in 0..g.n {
+        put(row, walk.step(), tmp, q, ew);
     }
+}
+
+fn row_pass_seq<T: Copy>(data: &mut [T], g: &C2rGeometry, ew: usize) {
+    let mut tmp = Vec::with_capacity(g.n * ew);
+    for (i, row) in data.chunks_exact_mut(g.n * ew).enumerate() {
+        shuffle_row(row, g, i, ew, &mut tmp);
+    }
+}
+
+/// The three passes over elements of `ew` consecutive `T`s, sequentially.
+fn c2r_seq<T: Copy>(data: &mut [T], m_rows: usize, n_cols: usize, ew: usize) {
+    assert!(ew >= 1, "elements must be at least one word wide");
+    assert_eq!(data.len(), m_rows * n_cols * ew);
+    let g = C2rGeometry::new(m_rows, n_cols);
+    if g.needs_rotate() {
+        col_pass_seq(data, &g, ew, |q| RotateWalk::new(&g, q));
+    }
+    row_pass_seq(data, &g, ew);
+    col_pass_seq(data, &g, ew, |j| ShuffleWalk::new(&g, j));
+}
+
+/// [`c2r_seq`] with panels and rows in parallel.
+fn c2r_par<T: Copy + Send + Sync>(data: &mut [T], m_rows: usize, n_cols: usize, ew: usize) {
+    assert!(ew >= 1, "elements must be at least one word wide");
+    assert_eq!(data.len(), m_rows * n_cols * ew);
+    let g = C2rGeometry::new(m_rows, n_cols);
+    if g.needs_rotate() {
+        col_pass_par(data, &g, ew, |q| RotateWalk::new(&g, q));
+    }
+    data.par_chunks_exact_mut(n_cols * ew).enumerate().for_each_init(
+        || Vec::with_capacity(n_cols * ew),
+        |tmp, (i, row)| shuffle_row(row, &g, i, ew, tmp),
+    );
+    col_pass_par(data, &g, ew, |j| ShuffleWalk::new(&g, j));
+}
+
+/// Sequential in-place C2R transposition of a row-major `M × N` buffer.
+/// Total: any `M, N ≥ 1`. Scratch: one column panel (`W·M` elements,
+/// `W = 64 / size_of::<T>()`), or one row if that is longer.
+///
+/// # Panics
+/// Panics if `data.len() != m_rows·n_cols` or a dimension is zero.
+pub fn transpose_c2r_seq<T: Copy>(data: &mut [T], m_rows: usize, n_cols: usize) {
+    c2r_seq(data, m_rows, n_cols, 1);
+}
+
+/// Rayon-parallel C2R: column panels in parallel, rows in parallel, column
+/// panels in parallel — each worker keeps one panel (or row) of scratch.
+///
+/// # Panics
+/// As [`transpose_c2r_seq`].
+pub fn transpose_c2r_par<T: Copy + Send + Sync>(data: &mut [T], m_rows: usize, n_cols: usize) {
+    c2r_par(data, m_rows, n_cols, 1);
 }
 
 /// Sequential C2R over `elem_words`-word elements stored as flat `u32`
@@ -270,30 +489,10 @@ pub fn transpose_c2r_seq_elems(
     n_cols: usize,
     elem_words: usize,
 ) {
-    assert!(elem_words >= 1, "elements must be at least one word wide");
-    assert_eq!(data.len(), m_rows * n_cols * elem_words);
-    let geom = C2rGeometry::new(m_rows, n_cols);
-    let mut tmp = Vec::with_capacity(m_rows.max(n_cols) * elem_words);
-    if geom.needs_rotate() {
-        for q in 0..n_cols {
-            apply_col_pass_elems(data, &geom, q, elem_words, &mut tmp, |i| {
-                geom.rotate_src_row(i, q)
-            });
-        }
-    }
-    for (i, row) in data.chunks_exact_mut(n_cols * elem_words).enumerate() {
-        apply_row_pass_elems(row, &geom, i, elem_words, &mut tmp);
-    }
-    for col in 0..n_cols {
-        apply_col_pass_elems(data, &geom, col, elem_words, &mut tmp, |j_out| {
-            geom.col_shuffle_src_row(j_out, col)
-        });
-    }
+    c2r_seq(data, m_rows, n_cols, elem_words);
 }
 
-/// Rayon-parallel twin of [`transpose_c2r_seq_elems`]: columns in
-/// parallel, rows in parallel, columns in parallel, each worker holding
-/// one line of scratch.
+/// Rayon-parallel twin of [`transpose_c2r_seq_elems`].
 ///
 /// # Panics
 /// As [`transpose_c2r_seq_elems`].
@@ -303,34 +502,7 @@ pub fn transpose_c2r_par_elems(
     n_cols: usize,
     elem_words: usize,
 ) {
-    assert!(elem_words >= 1, "elements must be at least one word wide");
-    assert_eq!(data.len(), m_rows * n_cols * elem_words);
-    let ew = elem_words;
-    let geom = C2rGeometry::new(m_rows, n_cols);
-    struct Ptr(*mut u32);
-    unsafe impl Sync for Ptr {}
-    let len = data.len();
-    let col_pass = |ptr: &Ptr, src_for: &(dyn Fn(usize, usize) -> usize + Sync)| {
-        (0..n_cols).into_par_iter().for_each_init(
-            || Vec::with_capacity(m_rows * ew),
-            |tmp, col| {
-                // SAFETY: column `col` touches only words whose element
-                // index is ≡ col (mod N); columns are pairwise disjoint.
-                let data = unsafe { std::slice::from_raw_parts_mut(ptr.0, len) };
-                apply_col_pass_elems(data, &geom, col, ew, tmp, |k| src_for(k, col));
-            },
-        );
-    };
-    if geom.needs_rotate() {
-        let ptr = Ptr(data.as_mut_ptr());
-        col_pass(&ptr, &|i, q| geom.rotate_src_row(i, q));
-    }
-    data.par_chunks_exact_mut(n_cols * ew).enumerate().for_each_init(
-        || Vec::with_capacity(n_cols * ew),
-        |tmp, (i, row)| apply_row_pass_elems(row, &geom, i, ew, tmp),
-    );
-    let ptr = Ptr(data.as_mut_ptr());
-    col_pass(&ptr, &|j_out, col| geom.col_shuffle_src_row(j_out, col));
+    c2r_par(data, m_rows, n_cols, elem_words);
 }
 
 /// Convenience wrapper over [`Matrix`].
@@ -438,9 +610,72 @@ mod tests {
         }
     }
 
+    /// `SHAPES` plus the b = 1 (`N | M`) and a = 1 (`M | N`) classes and
+    /// single rows and columns.
+    const WALK_SHAPES: &[(usize, usize)] =
+        &[(12, 4), (4, 12), (35, 7), (7, 35), (1, 9), (9, 1), (1, 1), (64, 48), (7919, 13)];
+
+    #[test]
+    fn incremental_walks_equal_the_closed_form_gathers() {
+        for &(m, n) in SHAPES.iter().chain(WALK_SHAPES) {
+            let g = C2rGeometry::new(m, n);
+            for q in 0..n {
+                let mut w = RotateWalk::new(&g, q);
+                for i in 0..m {
+                    assert_eq!(w.step(), g.rotate_src_row(i, q), "rotate {m}x{n} q={q} i={i}");
+                }
+                let mut w = ShuffleWalk::new(&g, q);
+                for j_out in 0..m {
+                    assert_eq!(
+                        w.step(),
+                        g.col_shuffle_src_row(j_out, q),
+                        "col-shuffle {m}x{n} col={q} J={j_out}"
+                    );
+                }
+            }
+            // The row walk is the scatter form: the gather must invert it.
+            for i in 0..m {
+                let mut w = RowWalk::new(&g, i);
+                for q in 0..n {
+                    let d = w.step();
+                    assert_eq!(g.row_shuffle_src_col(i, d), q, "row {m}x{n} i={i} q={q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn passes_match_the_closed_form_gathers() {
+        // Each public pass equals its gather applied out of place, on
+        // shapes narrower and wider than one panel (16 u32 columns).
+        for &(m, n) in &[(12usize, 18usize), (30, 42), (6, 4), (97, 101), (40, 16), (8, 2)] {
+            let g = C2rGeometry::new(m, n);
+            let orig: Vec<u32> = (0..(m * n) as u32).collect();
+            let gather = |src: &dyn Fn(usize, usize) -> usize| -> Vec<u32> {
+                let mut out = vec![0u32; m * n];
+                for r in 0..m {
+                    for q in 0..n {
+                        out[r * n + q] = orig[src(r, q)];
+                    }
+                }
+                out
+            };
+            let mut got = orig.clone();
+            g.rotate_columns(&mut got);
+            assert_eq!(got, gather(&|i, q| g.rotate_src_row(i, q) * n + q), "rotate {m}x{n}");
+            let mut got = orig.clone();
+            g.shuffle_rows(&mut got);
+            assert_eq!(got, gather(&|i, j| i * n + g.row_shuffle_src_col(i, j)), "row {m}x{n}");
+            let mut got = orig.clone();
+            g.shuffle_columns(&mut got);
+            let want = gather(&|j_out, col| g.col_shuffle_src_row(j_out, col) * n + col);
+            assert_eq!(got, want, "col {m}x{n}");
+        }
+    }
+
     #[test]
     fn seq_transposes_every_shape() {
-        for &(m, n) in SHAPES {
+        for &(m, n) in SHAPES.iter().chain(WALK_SHAPES) {
             let mat = Matrix::iota(m, n);
             let mut data = mat.as_slice().to_vec();
             transpose_c2r_seq(&mut data, m, n);
@@ -450,7 +685,7 @@ mod tests {
 
     #[test]
     fn par_matches_seq() {
-        for &(m, n) in SHAPES {
+        for &(m, n) in SHAPES.iter().chain(WALK_SHAPES) {
             let mat = Matrix::pattern_f32(m, n);
             let mut a = mat.as_slice().to_vec();
             transpose_c2r_seq(&mut a, m, n);
@@ -484,7 +719,7 @@ mod tests {
     fn elems_paths_match_the_packed_wide_reference() {
         // 2-word elements through the flat-u32 helpers must agree with the
         // generic-T path over packed u64 elements, on every shape class.
-        for &(m, n) in SHAPES {
+        for &(m, n) in SHAPES.iter().chain(WALK_SHAPES) {
             let packed: Vec<u64> =
                 (0..m * n).map(|k| (k as u64) << 32 | (k as u64 ^ 0x5a5a)).collect();
             let mut want_packed = packed.clone();

@@ -15,14 +15,24 @@
 //! | `0010!`  | M′·N′     | m    | n    | 1     | `…×m×n → …×n×m` |
 //! | `1000!`  | 1         | M′   | N′   | m·n   | `M′×N′×(mn) → N′×M′×(mn)` |
 //!
-//! The data movement inside one instance is cycle-following over the
-//! permutation `k ↦ k·rows mod (rows·cols − 1)` acting on super-element
-//! indices ([`TransposePerm`]). This module provides a sequential in-place
-//! engine over any bijective index map, an out-of-place reference, and the
-//! instanced wrapper; [`parallel`](crate::elementary::parallel) adds
-//! multi-threaded execution.
+//! The data movement inside one instance takes one of two forms:
+//!
+//! * **BS tile** — a scalar instance (`super_size == 1`) of at most
+//!   [`SHARED_CAPACITY_WORDS`] elements is the host form of the paper's
+//!   barrier-synchronised stage-2 kernel (§5, Figure 1): the tile is loaded
+//!   row-major into a tile buffer and stored back transposed. Scratch: one
+//!   tile.
+//! * **cycle following** — everything else (super-element stages, the
+//!   whole-matrix pass, tiles over the budget) follows the cycles of
+//!   `k ↦ k·rows mod (rows·cols − 1)` on super-element indices
+//!   ([`TransposePerm`]).
+//!
+//! This module provides a sequential in-place cycle engine over any
+//! bijective index map, an out-of-place reference, and the instanced
+//! wrapper; [`parallel`] adds multi-threaded execution.
 
 use crate::perm::cycle::TransposePerm;
+use crate::tiles::SHARED_CAPACITY_WORDS;
 
 pub mod parallel;
 
@@ -176,6 +186,33 @@ fn shift_one_cycle<T: Copy>(
     data[cur * super_size..(cur + 1) * super_size].copy_from_slice(tmp);
 }
 
+/// BS on the host (paper §5, Figure 1): load the `rows × cols` tile
+/// row-major into `tile`, then store it back transposed. `tile` is the
+/// worker's on-chip buffer; it holds at most one tile.
+fn transpose_tile<T: Copy>(chunk: &mut [T], rows: usize, cols: usize, tile: &mut Vec<T>) {
+    tile.clear();
+    tile.extend_from_slice(chunk);
+    // Four output rows (tile columns) at a time, so each tile row is read
+    // four contiguous elements at once.
+    let mut strips = chunk.chunks_exact_mut(4 * rows);
+    for (s, strip) in (&mut strips).enumerate() {
+        let (o0, rest) = strip.split_at_mut(rows);
+        let (o1, rest) = rest.split_at_mut(rows);
+        let (o2, o3) = rest.split_at_mut(rows);
+        for (r, tile_row) in tile.chunks_exact(cols).enumerate() {
+            let v = &tile_row[4 * s..4 * s + 4];
+            (o0[r], o1[r], o2[r], o3[r]) = (v[0], v[1], v[2], v[3]);
+        }
+    }
+    let c0 = cols / 4 * 4;
+    for (c, out_row) in strips.into_remainder().chunks_exact_mut(rows).enumerate() {
+        let col = &tile[c0 + c..];
+        for (r, slot) in out_row.iter_mut().enumerate() {
+            *slot = col[r * cols];
+        }
+    }
+}
+
 /// Out-of-place reference for the same operation: `dst[dest(k)] = src_data[k]`.
 ///
 /// # Panics
@@ -266,14 +303,29 @@ impl InstancedTranspose {
         inst * il + d * self.super_size + s
     }
 
+    /// Does each instance run as a BS tile (a scalar transpose within the
+    /// on-chip tile budget) rather than by cycle following?
+    #[inline]
+    #[must_use]
+    pub(crate) fn is_tile_stage(&self) -> bool {
+        self.super_size == 1 && self.rows * self.cols <= SHARED_CAPACITY_WORDS
+    }
+
     /// Execute in place, sequentially.
     ///
     /// # Panics
     /// Panics if `data.len() != self.total_len()`.
     pub fn apply_seq<T: Copy>(&self, data: &mut [T]) {
         assert_eq!(data.len(), self.total_len(), "data length mismatch");
-        let perm = self.perm();
         let il = self.instance_len();
+        if self.is_tile_stage() {
+            let mut tile = Vec::with_capacity(il);
+            for chunk in data.chunks_exact_mut(il) {
+                transpose_tile(chunk, self.rows, self.cols, &mut tile);
+            }
+            return;
+        }
+        let perm = self.perm();
         let mut visited = vec![false; IndexPerm::len(&perm)];
         for chunk in data.chunks_exact_mut(il) {
             cycle_shift_seq_with(chunk, &perm, self.super_size, &mut visited);
@@ -454,6 +506,50 @@ mod tests {
         for k in 0..fused.len() {
             assert_eq!(fused.src(fused.dest(k)), k);
             assert_eq!(fused.dest(fused.src(k)), k);
+        }
+    }
+
+    /// Every execution form of `op` on `orig`: the public seq/par paths,
+    /// the cycle engine run on each instance, and the out-of-place
+    /// reference — all must agree.
+    fn assert_forms_agree<T: Copy + PartialEq + std::fmt::Debug + Send + Sync>(
+        op: &InstancedTranspose,
+        orig: &[T],
+    ) {
+        let mut oop = orig.to_vec();
+        op.apply_oop(orig, &mut oop);
+        let mut cycle = orig.to_vec();
+        for chunk in cycle.chunks_exact_mut(op.instance_len()) {
+            cycle_shift_seq(chunk, &op.perm(), op.super_size);
+        }
+        let mut seq = orig.to_vec();
+        op.apply_seq(&mut seq);
+        let mut par = orig.to_vec();
+        op.apply_par(&mut par);
+        assert_eq!(cycle, oop, "cycle path {op:?}");
+        assert_eq!(seq, oop, "apply_seq {op:?}");
+        assert_eq!(par, oop, "apply_par {op:?}");
+    }
+
+    #[test]
+    fn tile_stage_matches_cycle_path_and_oop_on_both_sides_of_the_budget() {
+        // (instances, rows, cols, super_size, runs as a BS tile)
+        for &(i, r, c, s, tile) in &[
+            (3, 60, 60, 1, true),    // exactly the 3600-element budget
+            (2, 50, 72, 1, true),    // a Table-2 tile
+            (2, 1, 3600, 1, true),   // one row
+            (4, 7, 5, 1, true),
+            (2, 13, 277, 1, false),  // 3601 elements: over the budget
+            (2, 60, 61, 1, false),
+            (3, 7, 5, 2, false),     // super-elements keep the cycle engine
+            (2, 60, 60, 3, false),
+        ] {
+            let op = InstancedTranspose::new(i, r, c, s);
+            assert_eq!(op.is_tile_stage(), tile, "{op:?}");
+            let words: Vec<u32> = (0..op.total_len() as u32).collect();
+            assert_forms_agree(&op, &words);
+            let wide: Vec<u64> = (0..op.total_len() as u64).map(|k| k << 32 | (k ^ 0x5a5a)).collect();
+            assert_forms_agree(&op, &wide);
         }
     }
 

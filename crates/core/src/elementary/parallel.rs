@@ -13,7 +13,7 @@
 
 use rayon::prelude::*;
 
-use super::{FusedTileTranspose, IndexPerm, InstancedTranspose, cycle_shift_seq};
+use super::{cycle_shift_seq, transpose_tile, FusedTileTranspose, IndexPerm, InstancedTranspose};
 
 /// Enumerate cycle leaders (minimum offset of each cycle) and cycle lengths
 /// in a single O(len) pass using a visited bitmap (Berman-style bookkeeping,
@@ -108,7 +108,9 @@ unsafe fn shift_cycle<T: Copy>(
     }
 }
 
-/// Cycle-parallel in-place shift: one rayon task per cycle (P-IPT).
+/// Cycle-parallel in-place shift: one rayon task per cycle (P-IPT). Under
+/// the offline rayon shim (`shims/rayon`) the tasks run sequentially on
+/// the calling thread.
 ///
 /// # Panics
 /// Panics if `data.len() != perm.len() * super_size`.
@@ -132,15 +134,23 @@ pub fn cycle_shift_par<T: Copy + Send + Sync>(
 }
 
 impl InstancedTranspose {
-    /// Execute in place with rayon: instances in parallel; a single instance
-    /// falls back to cycle-level parallelism.
+    /// Execute in place with rayon: instances in parallel, each worker
+    /// holding one tile buffer on a BS stage; a single cycle-following
+    /// instance falls back to cycle-level parallelism.
     ///
     /// # Panics
     /// Panics if `data.len() != self.total_len()`.
     pub fn apply_par<T: Copy + Send + Sync>(&self, data: &mut [T]) {
         assert_eq!(data.len(), self.total_len(), "data length mismatch");
-        let perm = self.perm();
         let il = self.instance_len();
+        if self.is_tile_stage() {
+            data.par_chunks_exact_mut(il).for_each_init(
+                || Vec::with_capacity(il),
+                |tile, chunk| transpose_tile(chunk, self.rows, self.cols, tile),
+            );
+            return;
+        }
+        let perm = self.perm();
         if self.instances > 1 {
             data.par_chunks_exact_mut(il).for_each(|chunk| {
                 cycle_shift_seq(chunk, &perm, self.super_size);

@@ -4,9 +4,8 @@
 //! This is the host-side (pure CPU) entry point. The GPU-simulated execution
 //! of the same plans lives in the `ipt-gpu` crate.
 
-use crate::coprime;
+use crate::c2r::{transpose_c2r_par, transpose_c2r_seq};
 use crate::matrix::Matrix;
-use crate::numtheory::gcd;
 use crate::scheme::{decide_scheme, transpose_square_in_place, Scheme};
 use crate::stages::{PlanError, StagePlan, TileConfig};
 use crate::tiles::TileHeuristic;
@@ -74,30 +73,35 @@ pub fn plan_auto(rows: usize, cols: usize, algo: Algorithm, heuristic: &TileHeur
     }
 }
 
-/// Degenerate/square short-circuit shared by the in-place drivers: `Some`
-/// when the shape was handled without running any staged plan.
-fn short_circuit<T: Copy>(matrix: Matrix<T>) -> Result<Matrix<T>, Matrix<T>> {
-    let decision = decide_scheme(matrix.rows(), matrix.cols(), &TileHeuristic::default());
-    match decision.scheme {
+/// The planner's non-staged routes, shared by the in-place drivers: `Ok`
+/// when [`decide_scheme`] sends the shape past the staged plans — row and
+/// column vectors flip their shape, squares swap pairwise, and shapes with
+/// no usable tile take the C2R decomposition (`c2r` runs it).
+fn short_circuit<T: Copy>(
+    matrix: Matrix<T>,
+    c2r: impl FnOnce(&mut [T], usize, usize),
+) -> Result<Matrix<T>, Matrix<T>> {
+    let (rows, cols) = (matrix.rows(), matrix.cols());
+    let mut matrix = matrix;
+    match decide_scheme(rows, cols, &TileHeuristic::default()).scheme {
         // Row/column vectors (and empties): the storage is already the
         // transpose — only the shape flips.
-        Scheme::Identity => Ok(matrix.assume_transposed_shape()),
-        Scheme::SquareTiled => {
-            let n = matrix.rows();
-            let mut matrix = matrix;
-            transpose_square_in_place(matrix.as_mut_slice(), n);
-            Ok(matrix.assume_transposed_shape())
-        }
-        _ => Err(matrix),
+        Scheme::Identity => {}
+        Scheme::SquareTiled => transpose_square_in_place(matrix.as_mut_slice(), rows),
+        Scheme::C2R => c2r(matrix.as_mut_slice(), rows, cols),
+        _ => return Err(matrix),
     }
+    Ok(matrix.assume_transposed_shape())
 }
 
 /// Transpose `matrix` in place (same backing storage) sequentially and
-/// return it with the flipped shape. Degenerate shapes (`1 × n`, `m × 1`)
-/// and squares short-circuit instead of running a staged plan.
+/// return it with the flipped shape. [`decide_scheme`] routes the shape:
+/// degenerate shapes (`1 × n`, `m × 1`) and squares short-circuit, shapes
+/// with no usable tile take [`transpose_c2r_seq`], and the rest run
+/// `algo`'s staged plan.
 #[must_use]
 pub fn transpose_in_place_seq<T: Copy>(matrix: Matrix<T>, algo: Algorithm) -> Matrix<T> {
-    let matrix = match short_circuit(matrix) {
+    let matrix = match short_circuit(matrix, transpose_c2r_seq) {
         Ok(done) => return done,
         Err(m) => m,
     };
@@ -108,11 +112,12 @@ pub fn transpose_in_place_seq<T: Copy>(matrix: Matrix<T>, algo: Algorithm) -> Ma
 }
 
 /// Transpose `matrix` in place using rayon and return it with the flipped
-/// shape. Degenerate shapes (`1 × n`, `m × 1`) and squares short-circuit
-/// instead of running a staged plan.
+/// shape, routed as [`transpose_in_place_seq`] (C2R shapes take
+/// [`transpose_c2r_par`]). Under the offline rayon shim (`shims/rayon`)
+/// the "parallel" work runs sequentially on the calling thread.
 #[must_use]
 pub fn transpose_in_place_par<T: Copy + Send + Sync>(matrix: Matrix<T>, algo: Algorithm) -> Matrix<T> {
-    let matrix = match short_circuit(matrix) {
+    let matrix = match short_circuit(matrix, transpose_c2r_par) {
         Ok(done) => return done,
         Err(m) => m,
     };
@@ -122,76 +127,19 @@ pub fn transpose_in_place_par<T: Copy + Send + Sync>(matrix: Matrix<T>, algo: Al
     matrix.assume_transposed_shape()
 }
 
-/// How [`transpose_in_place_any`] decided to transpose a shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnyRoute {
-    /// A staged plan with a heuristic tile.
-    Staged,
-    /// The coprime two-phase decomposition (`gcd(M, N) = 1`).
-    Coprime,
-    /// A staged plan with the always-available `(c, c)` gcd tile.
-    GcdTile,
-    /// Trivial shapes (`min(M, N) = 1`) or awkward leftovers: the
-    /// single-stage pass.
-    SingleStage,
-}
-
-/// Decide the route for a shape (exposed so callers and tests can see the
-/// dispatch without running it).
-#[must_use]
-pub fn route_for(rows: usize, cols: usize, heuristic: &TileHeuristic) -> AnyRoute {
-    if rows <= 1 || cols <= 1 {
-        return AnyRoute::SingleStage;
-    }
-    // A tile below ~16 elements degenerates the staged algorithm into
-    // near-scalar shifting; prefer the dedicated routes then.
-    if heuristic.select(rows, cols).is_some_and(|t| t.tile_len() >= 16) {
-        return AnyRoute::Staged;
-    }
-    let c = gcd(rows as u64, cols as u64) as usize;
-    if c == 1 {
-        return AnyRoute::Coprime;
-    }
-    // The (c, c) tile always divides both dimensions; PTTWAC-010 handles
-    // stage 2 even when c² exceeds the BS capacity, up to the local-memory
-    // flag limit (~393k bits). Beyond that, give up on tiling.
-    if c * c <= 262_144 {
-        AnyRoute::GcdTile
-    } else {
-        AnyRoute::SingleStage
-    }
-}
-
 /// Transpose **any** rectangular matrix in place — no divisibility
-/// requirements. Removes the §7.4 prime-dimension limitation:
+/// requirements. Removes the §7.4 prime-dimension limitation by following
+/// [`decide_scheme`]:
 ///
 /// * a heuristic tile exists → the 3-stage algorithm,
-/// * coprime dimensions → the two-phase decomposition
-///   ([`crate::coprime`], after Catanzaro et al. \[25\]),
-/// * otherwise `c = gcd(M, N) > 1` → the 3-stage algorithm with the
-///   always-legal `(c, c)` tile,
-/// * degenerate/awkward leftovers → the single-stage pass.
+/// * no heuristic tile but `1 < c² ≤` [`crate::scheme::GCD_TILE_MAX_LEN`]
+///   (`c = gcd(M, N)`) → the 3-stage algorithm with the always-legal
+///   `(c, c)` tile,
+/// * any other untileable shape → the C2R decomposition ([`crate::c2r`]),
+/// * row/column vectors and squares → their short-circuits.
 #[must_use]
 pub fn transpose_in_place_any<T: Copy + Send + Sync>(matrix: Matrix<T>) -> Matrix<T> {
-    let (rows, cols) = (matrix.rows(), matrix.cols());
-    let heuristic = TileHeuristic::default();
-    match route_for(rows, cols, &heuristic) {
-        AnyRoute::Staged => transpose_in_place_par(matrix, Algorithm::ThreeStage),
-        AnyRoute::Coprime => coprime::transpose_matrix_coprime(matrix),
-        AnyRoute::GcdTile => {
-            let c = gcd(rows as u64, cols as u64) as usize;
-            let plan = StagePlan::three_stage(rows, cols, TileConfig::new(c, c))
-                .expect("gcd tile always divides");
-            let mut matrix = matrix;
-            plan.execute_par(matrix.as_mut_slice());
-            matrix.assume_transposed_shape()
-        }
-        AnyRoute::SingleStage => {
-            let mut matrix = matrix;
-            StagePlan::single_stage(rows, cols).execute_par(matrix.as_mut_slice());
-            matrix.assume_transposed_shape()
-        }
-    }
+    transpose_in_place_par(matrix, Algorithm::ThreeStage)
 }
 
 #[cfg(test)]
@@ -233,13 +181,37 @@ mod tests {
 
     #[test]
     fn any_route_dispatch() {
+        // transpose_in_place_any follows decide_scheme on every shape class.
         let h = TileHeuristic::default();
-        assert_eq!(route_for(720, 180, &h), AnyRoute::Staged);
-        assert_eq!(route_for(7919, 4099, &h), AnyRoute::Coprime); // both prime
-        assert_eq!(route_for(1, 999, &h), AnyRoute::SingleStage);
-        // 2·1009 × 2·997: no heuristic tile band, gcd 2 → GcdTile.
-        let narrow = TileHeuristic { shared_capacity_words: 3600, preferred_lo: 50, preferred_hi: 100 };
-        assert_eq!(route_for(2 * 1009, 2 * 997, &narrow), AnyRoute::GcdTile);
+        assert_eq!(decide_scheme(720, 180, &h).scheme, Scheme::Staged);
+        assert_eq!(decide_scheme(7919, 4099, &h).scheme, Scheme::C2R); // both prime
+        assert_eq!(decide_scheme(1, 999, &h).scheme, Scheme::Identity);
+        // 61·67 × 61·71: no heuristic tile, gcd 61 → the (61, 61) gcd tile.
+        let d = decide_scheme(61 * 67, 61 * 71, &h);
+        assert_eq!(d.scheme, Scheme::GcdTiled);
+        assert_eq!(d.tile, Some(TileConfig::new(61, 61)));
+        for (r, c) in [(720, 180), (127, 61), (2 * 53, 2 * 59), (1, 17), (9, 9)] {
+            let m = Matrix::iota(r, c);
+            assert_eq!(transpose_in_place_any(m.clone()), m.transposed(), "{r}x{c}");
+        }
+    }
+
+    #[test]
+    fn c2r_shapes_are_planned_c2r_and_transpose_on_every_algorithm() {
+        // decide_scheme gives these C2R (no heuristic tile, and gcd 1 or a
+        // gcd tile over GCD_TILE_MAX_LEN): every algorithm must return the
+        // C2R result rather than run plan_auto's single-stage plan.
+        let h = TileHeuristic::default();
+        for (r, c) in [(127usize, 61usize), (7919, 13), (7 * 521, 521)] {
+            assert_eq!(decide_scheme(r, c, &h).scheme, Scheme::C2R, "{r}x{c}");
+            let m = Matrix::iota(r, c);
+            let mut want = m.as_slice().to_vec();
+            transpose_c2r_seq(&mut want, r, c);
+            for algo in Algorithm::ALL {
+                assert_eq!(transpose_in_place_seq(m.clone(), algo).as_slice(), &want[..]);
+                assert_eq!(transpose_in_place_par(m.clone(), algo).as_slice(), &want[..]);
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,18 @@
 
 use crate::numtheory::{divisors, gcd, multiplicative_order, pow_mod, totient};
 
+/// `k·f mod m` for `k < m` and `f ≤ m + 1`. While `m ≤ u32::MAX` the
+/// product is below `2^64`, so one `u64` division suffices; only larger
+/// moduli (arrays past 2^32 elements) pay for the `u128` one.
+#[inline]
+fn mul_mod(k: usize, f: usize, m: usize) -> usize {
+    if m as u64 <= u64::from(u32::MAX) {
+        ((k as u64 * f as u64) % m as u64) as usize
+    } else {
+        ((k as u128 * f as u128) % m as u128) as usize
+    }
+}
+
 /// The permutation induced by in-place transposition of a row-major
 /// `rows × cols` array (elements may be super-elements of any fixed size —
 /// the permutation acts on super-element indices).
@@ -95,9 +107,7 @@ impl TransposePerm {
         if m == 0 || k == m {
             return k;
         }
-        // rows·cols fits in usize; k·rows may overflow 32-bit but we are on
-        // 64-bit targets; use u128 to be airtight for pathological sizes.
-        ((k as u128 * self.rows as u128) % m as u128) as usize
+        mul_mod(k, self.rows, m)
     }
 
     /// Source offset: which element moves *into* offset `k` (inverse
@@ -112,7 +122,7 @@ impl TransposePerm {
         }
         // Inverse of multiplication by `rows` mod m is multiplication by
         // `cols`, because rows·cols ≡ 1 (mod rows·cols − 1).
-        ((k as u128 * self.cols as u128) % m as u128) as usize
+        mul_mod(k, self.cols, m)
     }
 
     /// Jump `t` steps along the cycle through `k` in `O(log t)`:
@@ -478,6 +488,28 @@ mod tests {
             assert_eq!(p.src(p.dest(12_345_678_901 % p.len())), 12_345_678_901 % p.len());
             // usize::MAX × 2 elements cannot be represented → typed refusal.
             assert_eq!(TransposePerm::try_new(usize::MAX, 2), None);
+        }
+    }
+
+    #[test]
+    fn dest_and_src_agree_across_the_u64_u128_switch() {
+        // Modulus u32::MAX (65536² − 1) takes the u64 path, modulus
+        // u32::MAX + 1 (641 · 6700417 − 1) the u128 one; both must match
+        // the exact u128 arithmetic, including the largest products.
+        if usize::BITS < 64 {
+            return;
+        }
+        for (rows, cols) in [(65_536usize, 65_536usize), (641, 6_700_417), (6_700_417, 641)] {
+            let p = TransposePerm::new(rows, cols);
+            let m = p.modulus();
+            assert!(m as u64 == u64::from(u32::MAX) || m as u64 == u64::from(u32::MAX) + 1);
+            let exact = |k: usize, f: usize| ((k as u128 * f as u128) % m as u128) as usize;
+            for k in [1, 2, rows - 1, rows, cols + 3, m / 2, m - 2, m - 1] {
+                assert_eq!(p.dest(k), exact(k, rows), "{rows}x{cols} dest({k})");
+                assert_eq!(p.src(k), exact(k, cols), "{rows}x{cols} src({k})");
+                assert_eq!(p.src(p.dest(k)), k);
+            }
+            assert_eq!(p.dest(m), m, "last element is fixed");
         }
     }
 

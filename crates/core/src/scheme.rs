@@ -30,8 +30,9 @@ use crate::stages::{StagePlan, TileConfig};
 use crate::tiles::{usize_divisors, TileHeuristic};
 
 /// Largest `c × c` gcd tile the staged algorithm will attempt: beyond this
-/// the stage-2 flag array exceeds the local-memory budget (~393k bits), see
-/// [`crate::full::route_for`].
+/// the stage-2 flag array (one bit per tile element in the PTTWAC-010
+/// kernel) exceeds the local-memory budget (~393k bits), and
+/// [`decide_scheme`] sends the shape to [`Scheme::C2R`].
 pub const GCD_TILE_MAX_LEN: usize = 262_144;
 
 /// How a shape will be transposed.

@@ -374,6 +374,58 @@ mod tests {
         }
     }
 
+    /// Run `plan` with the cycle engine on every stage, BS-sized or not.
+    fn execute_cycle_path<T: Copy>(plan: &StagePlan, data: &mut [T]) {
+        use crate::elementary::cycle_shift_seq;
+        for stage in &plan.stages {
+            match &stage.op {
+                StageOp::Instanced(op) => {
+                    for chunk in data.chunks_exact_mut(op.instance_len()) {
+                        cycle_shift_seq(chunk, &op.perm(), op.super_size);
+                    }
+                }
+                StageOp::Fused(op) => cycle_shift_seq(data, op, 1),
+            }
+        }
+    }
+
+    fn assert_plans_agree<T: Copy + PartialEq + std::fmt::Debug + Send + Sync>(
+        rows: usize,
+        cols: usize,
+        tile: TileConfig,
+        orig: &[T],
+        want: &[T],
+    ) {
+        for plan in plans(rows, cols, tile.m, tile.n) {
+            let mut cycle = orig.to_vec();
+            execute_cycle_path(&plan, &mut cycle);
+            assert_eq!(cycle, want, "{} cycle path {rows}x{cols} {tile:?}", plan.name);
+            let mut seq = orig.to_vec();
+            plan.execute_seq(&mut seq);
+            assert_eq!(seq, want, "{} seq {rows}x{cols} {tile:?}", plan.name);
+            let mut par = orig.to_vec();
+            plan.execute_par(&mut par);
+            assert_eq!(par, want, "{} par {rows}x{cols} {tile:?}", plan.name);
+        }
+    }
+
+    #[test]
+    fn plans_match_the_cycle_path_on_both_sides_of_the_tile_budget() {
+        // 120×180: tile (60, 60) is exactly the 3600-element budget (0010!
+        // runs as BS), tile (60, 90) is over it (0010! follows cycles).
+        let (rows, cols) = (120, 180);
+        for tile in [TileConfig::new(60, 60), TileConfig::new(60, 90), TileConfig::new(8, 9)] {
+            let mat = Matrix::iota(rows, cols);
+            assert_plans_agree(rows, cols, tile, mat.as_slice(), mat.transposed().as_slice());
+            let wide = Matrix::from_vec(
+                rows,
+                cols,
+                (0..(rows * cols) as u64).map(|k| k << 32 | (k * 7)).collect(),
+            );
+            assert_plans_agree(rows, cols, tile, wide.as_slice(), wide.transposed().as_slice());
+        }
+    }
+
     #[test]
     fn stage_counts() {
         let tile = TileConfig::new(2, 3);

@@ -35,6 +35,12 @@ pub fn all_tiles(rows: usize, cols: usize) -> Vec<TileConfig> {
 /// The paper's preferred range for each tile dimension.
 pub const PREFERRED_RANGE: std::ops::RangeInclusive<usize> = 50..=100;
 
+/// The paper's on-chip tile budget in words (`m·n < 3600`, the K20's
+/// shared memory after double-buffering overheads): the default
+/// [`TileHeuristic::shared_capacity_words`], and the largest instance the
+/// host runs as a BS tile ([`crate::elementary`]).
+pub const SHARED_CAPACITY_WORDS: usize = 3600;
+
 /// Selection policy parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct TileHeuristic {
@@ -50,7 +56,7 @@ pub struct TileHeuristic {
 
 impl Default for TileHeuristic {
     fn default() -> Self {
-        Self { shared_capacity_words: 3600, preferred_lo: 50, preferred_hi: 100 }
+        Self { shared_capacity_words: SHARED_CAPACITY_WORDS, preferred_lo: 50, preferred_hi: 100 }
     }
 }
 

@@ -32,7 +32,7 @@ use gpu_sim::{
 };
 use ipt_obs::{NoopRecorder, Recorder};
 use ipt_core::stages::{PlanError, StagePlan};
-use ipt_core::{PlanDecision, Scheme, TransposePerm};
+use ipt_core::{PlanDecision, Scheme};
 
 /// A verification failure: the device's data does not match what the
 /// stage (or the full transposition) should have produced.
@@ -415,17 +415,21 @@ pub fn verify_exact_elems(
             ),
         });
     }
-    let perm = TransposePerm::new(rows, cols);
-    for (k, chunk) in src.chunks_exact(elem_words).enumerate() {
-        let d = perm.dest(k);
-        let got = &result[d * elem_words..(d + 1) * elem_words];
-        if got != chunk {
-            return Err(VerifyError {
-                stage: None,
-                detail: format!(
-                    "source element {k} should land at {d} with words {chunk:?}, found {got:?}"
-                ),
-            });
+    // Source order (row-major `(i, j)`), so the first mismatch reported is
+    // the lowest source element; `(i, j)` lands at `j·rows + i`.
+    for (i, src_row) in src.chunks_exact((cols * elem_words).max(1)).enumerate() {
+        for (j, chunk) in src_row.chunks_exact(elem_words).enumerate() {
+            let d = j * rows + i;
+            let got = &result[d * elem_words..(d + 1) * elem_words];
+            if got != chunk {
+                let k = i * cols + j;
+                return Err(VerifyError {
+                    stage: None,
+                    detail: format!(
+                        "source element {k} should land at {d} with words {chunk:?}, found {got:?}"
+                    ),
+                });
+            }
         }
     }
     Ok(())
@@ -445,11 +449,13 @@ pub fn host_transpose_elems(
     cols: usize,
     elem_words: usize,
 ) -> Vec<u32> {
-    let perm = TransposePerm::new(rows, cols);
     let mut out = vec![0u32; src.len()];
-    for (k, chunk) in src.chunks_exact(elem_words).enumerate() {
-        let d = perm.dest(k);
-        out[d * elem_words..(d + 1) * elem_words].copy_from_slice(chunk);
+    // `(i, j)` lands at `j·rows + i`: a row-major walk, no modulo.
+    for (i, src_row) in src.chunks_exact((cols * elem_words).max(1)).enumerate() {
+        for (j, chunk) in src_row.chunks_exact(elem_words).enumerate() {
+            let d = j * rows + i;
+            out[d * elem_words..(d + 1) * elem_words].copy_from_slice(chunk);
+        }
     }
     out
 }
@@ -869,7 +875,7 @@ mod tests {
     use super::*;
     use gpu_sim::{DeviceSpec, FaultKind, FaultPlan};
     use ipt_core::stages::TileConfig;
-    use ipt_core::Matrix;
+    use ipt_core::{Matrix, TransposePerm};
 
     fn plan_72x60() -> StagePlan {
         StagePlan::three_stage(72, 60, TileConfig::new(12, 10)).unwrap()
@@ -1348,6 +1354,30 @@ mod tests {
         assert!(verify_exact_elems(&src, &long, 3, 5, 1).is_err());
         // Zero-width elements: typed error, not a `chunks_exact(0)` panic.
         assert!(verify_exact_elems(&src, &good, 3, 5, 0).is_err());
+    }
+
+    #[test]
+    fn verify_reports_the_lowest_mismatching_source_element() {
+        // Source elements 7 = (1, 2) and 12 = (2, 2) land at 2·3 + 1 = 7
+        // and 2·3 + 2 = 8; corrupt both, the report names element 7.
+        let (rows, cols) = (3, 5);
+        let src = Matrix::iota(rows, cols).into_vec();
+        let mut bad = host_transpose(&src, rows, cols);
+        bad[8] ^= 1;
+        bad[7] ^= 1;
+        let err = verify_exact_elems(&src, &bad, rows, cols, 1).unwrap_err();
+        assert!(err.detail.starts_with("source element 7 should land at 7"), "{}", err.detail);
+        // The walk agrees with the closed form on every element width.
+        for ew in 1..4 {
+            let words: Vec<u32> = (0..(rows * cols * ew) as u32).collect();
+            let out = host_transpose_elems(&words, rows, cols, ew);
+            let perm = TransposePerm::new(rows, cols);
+            for k in 0..rows * cols {
+                let d = perm.dest(k);
+                assert_eq!(out[d * ew..(d + 1) * ew], words[k * ew..(k + 1) * ew], "ew {ew}");
+            }
+            verify_exact_elems(&words, &out, rows, cols, ew).unwrap();
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Offline shim for [criterion](https://docs.rs/criterion): the bench
 //! targets compile and run against this, each benchmark executing a small
-//! fixed number of timed iterations and printing mean wall-clock time.
-//! There is no statistical analysis, warm-up, or HTML report — this shim
-//! exists so `cargo bench` works offline and bench code stays honest
-//! (compiled and exercised), not to produce publishable numbers.
+//! fixed number of timed iterations and printing the minimum and median
+//! wall-clock time per iteration, plus GB/s when the group declares
+//! [`Throughput::Bytes`]. There is no statistical analysis, warm-up, or
+//! HTML report — this shim exists so `cargo bench` works offline and bench
+//! code stays honest (compiled and exercised), not to produce publishable
+//! numbers.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -42,7 +44,8 @@ impl From<String> for BenchmarkId {
     }
 }
 
-/// Declared throughput of a benchmark (printed, not analysed).
+/// Declared throughput of a benchmark: bytes are turned into GB/s at the
+/// median time, elements are printed only.
 #[derive(Debug, Clone, Copy)]
 pub enum Throughput {
     /// Bytes processed per iteration.
@@ -59,17 +62,21 @@ pub enum BatchSize {
     PerIteration,
 }
 
-/// Timing driver handed to each benchmark closure.
-pub struct Bencher;
+/// Timing driver handed to each benchmark closure; collects one duration
+/// per iteration.
+#[derive(Default)]
+pub struct Bencher {
+    samples: Vec<Duration>,
+}
 
 impl Bencher {
     /// Time `routine` over the shim's fixed iteration count.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        let start = Instant::now();
         for _ in 0..ITERS {
+            let start = Instant::now();
             std::hint::black_box(routine());
+            self.samples.push(start.elapsed());
         }
-        report_elapsed(start.elapsed());
     }
 
     /// Time `routine` on fresh `setup()` output each iteration; setup time
@@ -79,20 +86,31 @@ impl Bencher {
         S: FnMut() -> I,
         R: FnMut(I) -> O,
     {
-        let mut measured = Duration::ZERO;
         for _ in 0..ITERS {
             let input = setup();
             let start = Instant::now();
             std::hint::black_box(routine(input));
-            measured += start.elapsed();
+            self.samples.push(start.elapsed());
         }
-        report_elapsed(measured);
     }
-}
 
-fn report_elapsed(total: Duration) {
-    let mean = total / ITERS;
-    println!("    time: {mean:?} (mean of {ITERS} iters)");
+    /// Print min and median per iteration, and GB/s at the median for a
+    /// byte throughput.
+    fn report(mut self, throughput: Option<Throughput>) {
+        if self.samples.is_empty() {
+            return;
+        }
+        self.samples.sort_unstable();
+        let (min, median) = (self.samples[0], self.samples[self.samples.len() / 2]);
+        let n = self.samples.len();
+        match throughput {
+            Some(Throughput::Bytes(b)) => {
+                let gbps = b as f64 / median.as_secs_f64() / 1e9;
+                println!("    time: min {min:?} median {median:?} ({n} iters), {gbps:.3} GB/s");
+            }
+            _ => println!("    time: min {min:?} median {median:?} ({n} iters)"),
+        }
+    }
 }
 
 /// A named set of related benchmarks.
@@ -122,7 +140,9 @@ impl BenchmarkGroup {
         mut f: F,
     ) -> &mut Self {
         self.announce(&id.into());
-        f(&mut Bencher);
+        let mut b = Bencher::default();
+        f(&mut b);
+        b.report(self.throughput);
         self
     }
 
@@ -135,7 +155,9 @@ impl BenchmarkGroup {
     ) -> &mut Self {
         let id = id.into();
         self.announce(&id);
-        f(&mut Bencher, input);
+        let mut b = Bencher::default();
+        f(&mut b, input);
+        b.report(self.throughput);
         self
     }
 
@@ -165,7 +187,9 @@ impl Criterion {
     /// Run a standalone benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
         println!("bench: {name}");
-        f(&mut Bencher);
+        let mut b = Bencher::default();
+        f(&mut b);
+        b.report(None);
         self
     }
 }

@@ -1,11 +1,14 @@
 //! Fast smoke test of the execution surface, one case per entry point:
-//! the engine launch (serial ≡ parallel), the DES with event waits,
-//! arrivals and an engine crash, the recovery chain on every scheme arm
-//! under a fault that forces a fallback, out-of-core streaming, and one
-//! fleet round.
+//! the host in-place engines on each planner route, the engine launch
+//! (serial ≡ parallel), the DES with event waits, arrivals and an engine
+//! crash, the recovery chain on every scheme arm under a fault that forces
+//! a fallback, out-of-core streaming, and one fleet round.
 
 use ipt::core::{decide_scheme, FallbackReason, Matrix, PlanDecision, Scheme, StagePlan};
-use ipt::core::{TileConfig, TileHeuristic};
+use ipt::core::{
+    transpose_c2r_par, transpose_c2r_seq, transpose_in_place_any, transpose_in_place_par,
+    transpose_in_place_seq, Algorithm, TileConfig, TileHeuristic,
+};
 use ipt::gpu::fleet::{Fleet, FleetConfig};
 use ipt::gpu::recover::transpose_scheme_with_recovery;
 use ipt::gpu::serve::{PriorityClass, ServeRequest};
@@ -18,6 +21,32 @@ use ipt::sim::{
     LaunchConfig, QueueError, Sim,
 };
 use ipt_obs::NoopRecorder;
+
+#[test]
+fn host_engines_transpose_every_planner_route() {
+    let h = TileHeuristic::default();
+    // A reduced Table-2 shape (staged, BS tile stage), a prime x prime shape
+    // (C2R, c = 1) and a C2R shape with gcd 521 (no tile; 521² is over the
+    // gcd-tile limit, so the rotate pass runs).
+    let shapes = [(1440, 360, Scheme::Staged), (509, 251, Scheme::C2R), (7 * 521, 521, Scheme::C2R)];
+    for (rows, cols, scheme) in shapes {
+        assert_eq!(decide_scheme(rows, cols, &h).scheme, scheme, "{rows}x{cols}");
+        let m = Matrix::iota(rows, cols);
+        let want = m.transposed();
+        for algo in Algorithm::ALL {
+            let name = algo.name();
+            assert_eq!(transpose_in_place_seq(m.clone(), algo), want, "{name} seq {rows}x{cols}");
+            assert_eq!(transpose_in_place_par(m.clone(), algo), want, "{name} par {rows}x{cols}");
+        }
+        assert_eq!(transpose_in_place_any(m.clone()), want, "any {rows}x{cols}");
+        let mut seq = m.as_slice().to_vec();
+        transpose_c2r_seq(&mut seq, rows, cols);
+        assert_eq!(seq, want.as_slice(), "c2r seq {rows}x{cols}");
+        let mut par = m.into_vec();
+        transpose_c2r_par(&mut par, rows, cols);
+        assert_eq!(par, want.as_slice(), "c2r par {rows}x{cols}");
+    }
+}
 
 #[test]
 fn launch_is_bit_identical_serial_and_parallel() {

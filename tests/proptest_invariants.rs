@@ -9,8 +9,8 @@ use ipt::core::elementary::parallel::{cycle_shift_par, find_cycle_leaders};
 use ipt::core::elementary::{cycle_shift_oop, cycle_shift_seq, cycle_shift_seq_minimal};
 use ipt::core::layout::StructArray;
 use ipt::core::{
-    transpose_in_place_par, Algorithm, InstancedTranspose, Matrix, StagePlan, TileConfig,
-    TransposePerm,
+    transpose_c2r_par, transpose_c2r_seq, transpose_in_place_par, Algorithm, InstancedTranspose,
+    Matrix, StagePlan, TileConfig, TransposePerm,
 };
 use proptest::prelude::*;
 
@@ -110,6 +110,40 @@ proptest! {
         let t = transpose_in_place_par(m.clone(), Algorithm::ThreeStage);
         let back = transpose_in_place_par(t, Algorithm::ThreeStage);
         prop_assert_eq!(back, m);
+    }
+
+    #[test]
+    fn instanced_forms_agree_with_oop(
+        i in 1usize..4, r in 1usize..80, c in 1usize..80, s in 1usize..3,
+    ) {
+        // r·c spans both sides of the 3600-element BS tile budget.
+        let op = InstancedTranspose::new(i, r, c, s);
+        let orig: Vec<u64> = (0..op.total_len() as u64).map(|k| k << 32 | (k * 3)).collect();
+        let mut want = vec![0u64; orig.len()];
+        op.apply_oop(&orig, &mut want);
+        let mut cycle = orig.clone();
+        for chunk in cycle.chunks_exact_mut(op.instance_len()) {
+            cycle_shift_seq(chunk, &op.perm(), s);
+        }
+        prop_assert_eq!(&cycle, &want);
+        let mut seq = orig.clone();
+        op.apply_seq(&mut seq);
+        prop_assert_eq!(&seq, &want);
+        let mut par = orig.clone();
+        op.apply_par(&mut par);
+        prop_assert_eq!(&par, &want);
+    }
+
+    #[test]
+    fn c2r_transposes_any_shape(r in 1usize..90, c in 1usize..90) {
+        let m = Matrix::iota(r, c);
+        let want = m.transposed().into_vec();
+        let mut seq = m.as_slice().to_vec();
+        transpose_c2r_seq(&mut seq, r, c);
+        prop_assert_eq!(&seq, &want);
+        let mut par = m.into_vec();
+        transpose_c2r_par(&mut par, r, c);
+        prop_assert_eq!(&par, &want);
     }
 
     #[test]
