@@ -14,10 +14,10 @@
 
 use ipt_core::elementary::parallel::find_cycle_leaders;
 use ipt_core::elementary::IndexPerm;
+use ipt_core::pool::{Par, Pool};
 use ipt_core::stages::{StageOp, StagePlan, TileConfig};
 use ipt_core::tiles::TileHeuristic;
 use ipt_core::{Matrix, TransposePerm};
-use rayon::prelude::*;
 
 /// One shifting task: a contiguous run of cycle positions.
 ///
@@ -89,33 +89,15 @@ pub fn plan_segments(perm: &TransposePerm, threads: usize) -> Vec<Vec<Segment>> 
     buckets.into_iter().map(|(_, v)| v).collect()
 }
 
-/// Unsafe shared-slice handle for disjoint segment shifting.
-struct Shared<T> {
-    ptr: *mut T,
-    len: usize,
-}
-unsafe impl<T: Send> Send for Shared<T> {}
-unsafe impl<T: Send> Sync for Shared<T> {}
-
-impl<T> Shared<T> {
-    /// Raw pointer to word `w`. A method (rather than direct field access)
-    /// so closures capture `&Shared<T>` — which is `Sync` — instead of the
-    /// bare `*mut T` field.
-    ///
-    /// # Safety
-    /// `w` must be in bounds; the caller guarantees disjoint access.
-    unsafe fn at(&self, w: usize) -> *mut T {
-        debug_assert!(w < self.len);
-        unsafe { self.ptr.add(w) }
-    }
-}
-
 /// Execute a planned segment shift over super-elements of `s` scalars.
 ///
-/// Two phases with a barrier between them (rayon joins provide it):
+/// Two phases with a barrier between them (the end of the first pool
+/// launch provides it):
 /// 1. each segment saves its first source super-element (the boundary the
 ///    previous segment will overwrite),
-/// 2. each segment shifts backwards and finally writes the saved boundary.
+/// 2. each bucket's segments shift backwards and finally write their saved
+///    boundaries.
+#[allow(unsafe_code)]
 pub fn shift_segmented<T: Copy + Send + Sync>(
     data: &mut [T],
     perm: &TransposePerm,
@@ -123,52 +105,38 @@ pub fn shift_segmented<T: Copy + Send + Sync>(
     buckets: &[Vec<Segment>],
 ) {
     assert_eq!(data.len(), IndexPerm::len(perm) * s);
-    let shared = Shared { ptr: data.as_mut_ptr(), len: data.len() };
 
-    // Phase 1: save boundary values.
-    let saved: Vec<Vec<(Segment, Vec<T>)>> = buckets
-        .par_iter()
-        .map(|segs| {
-            segs.iter()
-                .map(|&seg| {
-                    let k = perm.dest_pow(seg.leader, seg.start_idx);
-                    let mut buf = Vec::with_capacity(s);
-                    // SAFETY: phase 1 only reads.
-                    unsafe {
-                        buf.extend_from_slice(std::slice::from_raw_parts(shared.at(k * s), s));
-                    }
-                    (seg, buf)
-                })
-                .collect()
-        })
-        .collect();
-
-    // Phase 2: backwards shifts; segments write disjoint destination sets.
-    saved.par_iter().for_each(|segs| {
-        for (seg, boundary) in segs {
-            let perm = *perm;
-            // Walk backwards from k_{end} to k_{start+1} using the inverse.
-            let mut cur = perm.dest_pow(seg.leader, seg.end_idx);
-            let mut idx = seg.end_idx;
-            while idx > seg.start_idx + 1 {
-                let prev = perm.src(cur);
-                // SAFETY: destination indices (start, end] are unique across
-                // all segments (cycles are disjoint; segment index ranges
-                // partition each cycle); sources read here lie strictly
-                // inside this segment's own range.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(shared.at(prev * s), shared.at(cur * s), s);
-                }
-                cur = prev;
-                idx -= 1;
-            }
-            // Final destination k_{start+1} receives the saved boundary.
-            // SAFETY: as above; `cur` is now k_{start+1}.
-            unsafe {
-                std::ptr::copy_nonoverlapping(boundary.as_ptr(), shared.at(cur * s), s);
-            }
+    // Phase 1: save boundary values, one vector per bucket.
+    let mut saved: Vec<Vec<T>> = vec![Vec::new(); buckets.len()];
+    let src: &[T] = data;
+    Par::chunks(&mut saved, 1, || (), |_, b, boundaries| {
+        for seg in &buckets[b] {
+            let k = perm.dest_pow(seg.leader, seg.start_idx);
+            boundaries[0].extend_from_slice(&src[k * s..(k + 1) * s]);
         }
     });
+
+    // Phase 2: backwards shifts, one task per bucket.
+    let tasks: Vec<(&Vec<Segment>, Vec<T>)> = buckets.iter().zip(saved).collect();
+    // SAFETY: a segment writes the destinations at cycle indices
+    // (start, end] and reads only sources inside that same range.
+    // Cycles are disjoint and segment ranges partition each cycle, so the
+    // index sets of distinct buckets are pairwise disjoint.
+    unsafe {
+        Par::disjoint(data, &tasks, || (), |_, (segs, boundaries), cells| {
+            for (i, seg) in segs.iter().enumerate() {
+                // Walk backwards from k_{end} to k_{start+1} using the inverse.
+                let mut cur = perm.dest_pow(seg.leader, seg.end_idx);
+                for _ in seg.start_idx + 1..seg.end_idx {
+                    let prev = perm.src(cur);
+                    cells.copy(prev * s, cur * s, s);
+                    cur = prev;
+                }
+                // Final destination k_{start+1} receives the saved boundary.
+                cells.store(cur * s, &boundaries[i * s..(i + 1) * s]);
+            }
+        });
+    }
 }
 
 /// GKK-parallel execution of one elementary stage.

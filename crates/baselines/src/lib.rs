@@ -13,6 +13,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![deny(unsafe_code)]
 
 pub mod gkk;
 pub mod mkl_like;

@@ -1,12 +1,13 @@
 //! MKL-like parallel out-of-place transposition (`mkl_somatcopy`'s role in
-//! Table 3): cache-blocked, rayon over destination row blocks.
+//! Table 3): cache-blocked, destination row blocks spread over the host
+//! pool.
 //!
 //! The paper's measurement: parallel OOP is the fastest CPU option
 //! (12.07 GB/s on a 6-core Xeon, memory-bandwidth-limited beyond 4
 //! threads) but carries 100 % memory overhead.
 
+use ipt_core::pool::{Par, Pool};
 use ipt_core::Matrix;
-use rayon::prelude::*;
 
 /// Cache block edge (elements). 64×64×4 B = 16 KB — comfortably in L1/L2.
 pub const BLOCK: usize = 64;
@@ -19,22 +20,20 @@ pub fn transpose_oop_par<T: Copy + Send + Sync + Default>(matrix: &Matrix<T>) ->
     let mut out = vec![T::default(); rows * cols];
     // Parallelise over destination row blocks (each output row j is column
     // j of the source).
-    out.par_chunks_mut(BLOCK * rows)
-        .enumerate()
-        .for_each(|(jb, chunk)| {
-            let j0 = jb * BLOCK;
-            let jn = (j0 + BLOCK).min(cols);
-            // Tile the source rows so both streams stay cache-resident.
-            for i0 in (0..rows).step_by(BLOCK) {
-                let i_end = (i0 + BLOCK).min(rows);
-                for j in j0..jn {
-                    let dst_row = &mut chunk[(j - j0) * rows..][..rows];
-                    for i in i0..i_end {
-                        dst_row[i] = src[i * cols + j];
-                    }
+    Par::chunks(&mut out, BLOCK * rows, || (), |_, jb, chunk| {
+        let j0 = jb * BLOCK;
+        let jn = (j0 + BLOCK).min(cols);
+        // Tile the source rows so both streams stay cache-resident.
+        for i0 in (0..rows).step_by(BLOCK) {
+            let i_end = (i0 + BLOCK).min(rows);
+            for j in j0..jn {
+                let dst_row = &mut chunk[(j - j0) * rows..][..rows];
+                for i in i0..i_end {
+                    dst_row[i] = src[i * cols + j];
                 }
             }
-        });
+        }
+    });
     Matrix::from_vec(cols, rows, out)
 }
 

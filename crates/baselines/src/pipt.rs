@@ -6,7 +6,8 @@
 
 use ipt_core::{Matrix, TransposePerm};
 
-/// P-IPT in-place transposition: rayon task per cycle, longest first.
+/// P-IPT in-place transposition: one host-pool task per cycle, longest
+/// first.
 #[must_use]
 pub fn transpose_in_place_pipt<T: Copy + Send + Sync>(matrix: Matrix<T>) -> Matrix<T> {
     let (rows, cols) = (matrix.rows(), matrix.cols());

@@ -17,7 +17,7 @@ fn bench_baselines(c: &mut Criterion) {
     let bytes = (r * cl * 4) as u64;
     g.throughput(Throughput::Bytes(2 * bytes));
     let m = Matrix::pattern_f32(r, cl);
-    let threads = rayon::current_num_threads();
+    let threads = ipt_core::pool::threads();
 
     g.bench_function(BenchmarkId::new("oop-parallel", format!("{r}x{cl}")), |b| {
         b.iter(|| black_box(transpose_oop_par(&m).len()));

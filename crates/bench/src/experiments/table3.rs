@@ -54,10 +54,6 @@ pub struct Detail {
     pub gbps: Vec<(String, f64)>,
 }
 
-fn cpu_threads() -> usize {
-    rayon::current_num_threads()
-}
-
 /// Run the assessment. `seq_in_place` is skipped at full scale unless
 /// `include_slow` (it is genuinely minutes-slow, like MKL's).
 #[must_use]
@@ -100,7 +96,7 @@ pub fn run(dev: &DeviceSpec, scale: Scale, include_slow: bool) -> (Vec<Row>, Vec
         detail.push(("GKK OOP".to_string(), gbps(bytes, t)));
 
         // GKK in-place.
-        let threads = cpu_threads();
+        let threads = ipt_core::pool::threads();
         let (t, out) = measure_median(&m, 3, |x| transpose_in_place_gkk(x, threads));
         assert_eq!(out, m.transposed());
         push(&mut acc, "GKK in-place", gbps(bytes, t));
@@ -172,7 +168,7 @@ pub fn render(rows: &[Row], details: &[Detail]) -> String {
     let mut out = super::text_table(
         &format!(
             "Table 3: in-place / out-of-place assessment (CPU rows measured on this host, {} thread(s); GPU rows simulated)",
-            rayon::current_num_threads()
+            ipt_core::pool::threads()
         ),
         &["implementation", "on", "GB/s", "paper GB/s", "CPU mem ovh", "GPU mem ovh"],
         &table,

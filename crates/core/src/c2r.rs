@@ -51,7 +51,7 @@
 
 use crate::matrix::Matrix;
 use crate::numtheory::{gcd, mod_inverse};
-use rayon::prelude::*;
+use crate::pool::{Band, Par, Pool, Seq};
 
 /// The shape-derived constants all three passes share. Cheap to build
 /// (one gcd + one extended Euclid) and `Copy`, so kernels embed it.
@@ -147,7 +147,7 @@ impl C2rGeometry {
     /// Panics if `data.len() != M·N`.
     pub fn rotate_columns<T: Copy>(&self, data: &mut [T]) {
         assert_eq!(data.len(), self.m * self.n);
-        col_pass_seq(data, self, 1, |q| RotateWalk::new(self, q));
+        col_pass::<T, Seq, _>(data, self, 1, |q| RotateWalk::new(self, q));
     }
 
     /// Phase 2 in place over a row-major `M × N` buffer, sequentially.
@@ -156,7 +156,7 @@ impl C2rGeometry {
     /// Panics if `data.len() != M·N`.
     pub fn shuffle_rows<T: Copy>(&self, data: &mut [T]) {
         assert_eq!(data.len(), self.m * self.n);
-        row_pass_seq(data, self, 1);
+        row_pass::<T, Seq>(data, self, 1);
     }
 
     /// Phase 3 in place over a row-major `M × N` buffer, sequentially.
@@ -165,7 +165,7 @@ impl C2rGeometry {
     /// Panics if `data.len() != M·N`.
     pub fn shuffle_columns<T: Copy>(&self, data: &mut [T]) {
         assert_eq!(data.len(), self.m * self.n);
-        col_pass_seq(data, self, 1, |j| ShuffleWalk::new(self, j));
+        col_pass::<T, Seq, _>(data, self, 1, |j| ShuffleWalk::new(self, j));
     }
 }
 
@@ -332,11 +332,12 @@ fn put<T: Copy>(dst: &mut [T], di: usize, src: &[T], si: usize, ew: usize) {
     }
 }
 
-/// One column pass over the panel of columns starting at `q0`: copy the
-/// panel row-major into `panel` (one cache line per row), then rewrite it
-/// row by row, column `q` taking the panel row its walk names.
+/// One column pass over the panel of columns starting at `q0` (the
+/// worker's band): copy the panel row-major into `panel` (one cache line
+/// per row), then rewrite it row by row, column `q` taking the panel row
+/// its walk names.
 fn col_panel<T: Copy, W: Walk>(
-    data: &mut [T],
+    band: &mut Band<'_, T>,
     g: &C2rGeometry,
     ew: usize,
     q0: usize,
@@ -346,69 +347,42 @@ fn col_panel<T: Copy, W: Walk>(
     const MAX_WIDTH: usize = 64;
     let width = panel_width::<T>(ew).min(g.n - q0);
     debug_assert!(width <= MAX_WIDTH);
-    let (m, n) = (g.m, g.n);
+    let m = g.m;
     panel.clear();
     for r in 0..m {
-        panel.extend_from_slice(&data[(r * n + q0) * ew..(r * n + q0 + width) * ew]);
+        band.read_row(r, panel);
     }
     let mut walks = [walk(q0); MAX_WIDTH];
     for (w, slot) in walks.iter_mut().enumerate().take(width).skip(1) {
         *slot = walk(q0 + w);
     }
     for k in 0..m {
-        let row = &mut data[(k * n + q0) * ew..(k * n + q0 + width) * ew];
         for (w, wk) in walks[..width].iter_mut().enumerate() {
-            put(row, w, panel, wk.step() * width + w, ew);
+            let src = wk.step() * width + w;
+            // One-`T` elements skip the `ew` loop, which would dominate the pass.
+            if ew == 1 {
+                band.set(k, w, panel[src]);
+            } else {
+                for e in 0..ew {
+                    band.set(k, w * ew + e, panel[src * ew + e]);
+                }
+            }
         }
     }
 }
 
-/// A column pass, panel by panel. Scratch: one panel (`width·M`
-/// elements).
-fn col_pass_seq<T: Copy, W: Walk>(
+/// A column pass on `E`, one panel per task. Scratch: one panel
+/// (`width·M` elements) per worker.
+fn col_pass<T: Copy, E: Pool<T>, W: Walk>(
     data: &mut [T],
     g: &C2rGeometry,
     ew: usize,
-    walk: impl Fn(usize) -> W,
+    walk: impl Fn(usize) -> W + Sync + Send,
 ) {
     let width = panel_width::<T>(ew);
-    let mut panel = Vec::with_capacity(width * g.m * ew);
-    for q0 in (0..g.n).step_by(width) {
-        col_panel(data, g, ew, q0, &mut panel, &walk);
-    }
-}
-
-/// [`col_pass_seq`] with panels in parallel, one panel of scratch per
-/// worker.
-fn col_pass_par<T: Copy + Send + Sync, W: Walk>(
-    data: &mut [T],
-    g: &C2rGeometry,
-    ew: usize,
-    walk: impl Fn(usize) -> W + Sync,
-) {
-    // Panels: disjoint column ranges; the same raw-pointer pattern as the
-    // cycle engine and `coprime::transpose_coprime_par`.
-    struct Ptr<T>(*mut T);
-    // SAFETY: the one field is the matrix pointer; workers write through it
-    // only to their own panel's columns, and `T: Send` lets them.
-    unsafe impl<T: Send> Sync for Ptr<T> {}
-    impl<T> Ptr<T> {
-        fn get(&self) -> *mut T {
-            self.0
-        }
-    }
-    let width = panel_width::<T>(ew);
-    let len = data.len();
-    let ptr = Ptr(data.as_mut_ptr());
-    (0..g.n.div_ceil(width)).into_par_iter().for_each_init(
-        || Vec::with_capacity(width * g.m * ew),
-        |panel, p| {
-            // SAFETY: panel `p` touches only the elements of columns
-            // `p·width..(p + 1)·width`; panels are pairwise disjoint.
-            let data = unsafe { std::slice::from_raw_parts_mut(ptr.get(), len) };
-            col_panel(data, g, ew, p * width, panel, &walk);
-        },
-    );
+    E::bands(data, g.n * ew, width * ew, || Vec::with_capacity(width * g.m * ew), |panel, p, band| {
+        col_panel(band, g, ew, p * width, panel, &walk);
+    });
 }
 
 /// Phase 2 on row `i`: stage the row into `tmp`, then scatter it through
@@ -422,38 +396,22 @@ fn shuffle_row<T: Copy>(row: &mut [T], g: &C2rGeometry, i: usize, ew: usize, tmp
     }
 }
 
-fn row_pass_seq<T: Copy>(data: &mut [T], g: &C2rGeometry, ew: usize) {
-    let mut tmp = Vec::with_capacity(g.n * ew);
-    for (i, row) in data.chunks_exact_mut(g.n * ew).enumerate() {
-        shuffle_row(row, g, i, ew, &mut tmp);
-    }
+/// The row pass on `E`, one row per task. Scratch: one row per worker.
+fn row_pass<T: Copy, E: Pool<T>>(data: &mut [T], g: &C2rGeometry, ew: usize) {
+    let len = g.n * ew;
+    E::chunks(data, len, || Vec::with_capacity(len), |tmp, i, row| shuffle_row(row, g, i, ew, tmp));
 }
 
-/// The three passes over elements of `ew` consecutive `T`s, sequentially.
-fn c2r_seq<T: Copy>(data: &mut [T], m_rows: usize, n_cols: usize, ew: usize) {
+/// The three passes on `E` over elements of `ew` consecutive `T`s.
+pub(crate) fn c2r<T: Copy, E: Pool<T>>(data: &mut [T], m_rows: usize, n_cols: usize, ew: usize) {
     assert!(ew >= 1, "elements must be at least one word wide");
     assert_eq!(data.len(), m_rows * n_cols * ew);
     let g = C2rGeometry::new(m_rows, n_cols);
     if g.needs_rotate() {
-        col_pass_seq(data, &g, ew, |q| RotateWalk::new(&g, q));
+        col_pass::<T, E, _>(data, &g, ew, |q| RotateWalk::new(&g, q));
     }
-    row_pass_seq(data, &g, ew);
-    col_pass_seq(data, &g, ew, |j| ShuffleWalk::new(&g, j));
-}
-
-/// [`c2r_seq`] with panels and rows in parallel.
-fn c2r_par<T: Copy + Send + Sync>(data: &mut [T], m_rows: usize, n_cols: usize, ew: usize) {
-    assert!(ew >= 1, "elements must be at least one word wide");
-    assert_eq!(data.len(), m_rows * n_cols * ew);
-    let g = C2rGeometry::new(m_rows, n_cols);
-    if g.needs_rotate() {
-        col_pass_par(data, &g, ew, |q| RotateWalk::new(&g, q));
-    }
-    data.par_chunks_exact_mut(n_cols * ew).enumerate().for_each_init(
-        || Vec::with_capacity(n_cols * ew),
-        |tmp, (i, row)| shuffle_row(row, &g, i, ew, tmp),
-    );
-    col_pass_par(data, &g, ew, |j| ShuffleWalk::new(&g, j));
+    row_pass::<T, E>(data, &g, ew);
+    col_pass::<T, E, _>(data, &g, ew, |j| ShuffleWalk::new(&g, j));
 }
 
 /// Sequential in-place C2R transposition of a row-major `M × N` buffer.
@@ -463,16 +421,16 @@ fn c2r_par<T: Copy + Send + Sync>(data: &mut [T], m_rows: usize, n_cols: usize, 
 /// # Panics
 /// Panics if `data.len() != m_rows·n_cols` or a dimension is zero.
 pub fn transpose_c2r_seq<T: Copy>(data: &mut [T], m_rows: usize, n_cols: usize) {
-    c2r_seq(data, m_rows, n_cols, 1);
+    c2r::<T, Seq>(data, m_rows, n_cols, 1);
 }
 
-/// Rayon-parallel C2R: column panels in parallel, rows in parallel, column
-/// panels in parallel — each worker keeps one panel (or row) of scratch.
+/// C2R on the host pool: column panels, then rows, then column panels in
+/// parallel — each worker keeps one panel (or row) of scratch.
 ///
 /// # Panics
 /// As [`transpose_c2r_seq`].
 pub fn transpose_c2r_par<T: Copy + Send + Sync>(data: &mut [T], m_rows: usize, n_cols: usize) {
-    c2r_par(data, m_rows, n_cols, 1);
+    c2r::<T, Par>(data, m_rows, n_cols, 1);
 }
 
 /// Sequential C2R over `elem_words`-word elements stored as flat `u32`
@@ -489,10 +447,10 @@ pub fn transpose_c2r_seq_elems(
     n_cols: usize,
     elem_words: usize,
 ) {
-    c2r_seq(data, m_rows, n_cols, elem_words);
+    c2r::<u32, Seq>(data, m_rows, n_cols, elem_words);
 }
 
-/// Rayon-parallel twin of [`transpose_c2r_seq_elems`].
+/// [`transpose_c2r_seq_elems`] on the host pool.
 ///
 /// # Panics
 /// As [`transpose_c2r_seq_elems`].
@@ -502,7 +460,7 @@ pub fn transpose_c2r_par_elems(
     n_cols: usize,
     elem_words: usize,
 ) {
-    c2r_par(data, m_rows, n_cols, elem_words);
+    c2r::<u32, Par>(data, m_rows, n_cols, elem_words);
 }
 
 /// Convenience wrapper over [`Matrix`].
@@ -521,6 +479,7 @@ pub fn transpose_matrix_c2r<T: Copy + Send + Sync>(matrix: Matrix<T>) -> Matrix<
 mod tests {
     use super::*;
     use crate::coprime::{minv_for, phase1_src_col, phase2_src_row};
+    use crate::pool::tests::{iota, Elem};
 
     /// c = 1, c > 1, degenerate, square, prime — the planner's whole range.
     const SHAPES: &[(usize, usize)] = &[
@@ -693,6 +652,19 @@ mod tests {
             transpose_c2r_par(&mut b, m, n);
             assert_eq!(a, b, "{m}x{n}");
         }
+        // Panels are 64, 8 and 5 columns wide at these widths.
+        fn at_width<T: Elem>() {
+            for &(m, n) in SHAPES.iter().chain(WALK_SHAPES) {
+                let mut a: Vec<T> = iota(m * n);
+                transpose_c2r_seq(&mut a, m, n);
+                let mut b: Vec<T> = iota(m * n);
+                transpose_c2r_par(&mut b, m, n);
+                assert_eq!(a, b, "{m}x{n}");
+            }
+        }
+        at_width::<u8>();
+        at_width::<u64>();
+        at_width::<[u32; 3]>();
     }
 
     #[test]
@@ -741,6 +713,17 @@ mod tests {
             let mut one = mat.as_slice().to_vec();
             transpose_c2r_seq_elems(&mut one, m, n, 1);
             assert_eq!(one, mat.transposed().into_vec(), "ew=1 {m}x{n}");
+            // 3-word elements against the generic path over `[u32; 3]`.
+            let mut want3: Vec<[u32; 3]> = iota(m * n);
+            let flat3: Vec<u32> = want3.concat();
+            transpose_c2r_seq(&mut want3, m, n);
+            let want3 = want3.concat();
+            let mut seq = flat3.clone();
+            transpose_c2r_seq_elems(&mut seq, m, n, 3);
+            assert_eq!(seq, want3, "seq ew=3 {m}x{n}");
+            let mut par = flat3;
+            transpose_c2r_par_elems(&mut par, m, n, 3);
+            assert_eq!(par, want3, "par ew=3 {m}x{n}");
         }
     }
 

@@ -38,7 +38,7 @@
 
 use crate::matrix::Matrix;
 use crate::numtheory::{gcd, mod_inverse};
-use rayon::prelude::*;
+use crate::pool::{Band, Par, Pool, Seq};
 
 /// Phase-1 gather: the element that ends in column `q_out` of row `r`
 /// comes from column `(q_out − r)·M⁻¹ mod N`.
@@ -85,18 +85,27 @@ fn phase1_row<T: Copy>(row: &mut [T], r: usize, m_rows: usize, minv: usize, tmp:
     }
 }
 
-fn phase2_col<T: Copy>(
-    data: &mut [T],
-    c: usize,
-    m_rows: usize,
-    n_cols: usize,
-    tmp: &mut Vec<T>,
-) {
+/// Phase 2 on column `c`, the worker's one-column band.
+fn phase2_col<T: Copy>(col: &mut Band<'_, T>, c: usize, m_rows: usize, n_cols: usize, tmp: &mut Vec<T>) {
     tmp.clear();
-    tmp.extend((0..m_rows).map(|r| data[r * n_cols + c]));
+    tmp.extend((0..m_rows).map(|r| col.get(r, 0)));
     for j_out in 0..m_rows {
-        data[j_out * n_cols + c] = tmp[phase2_src_row(j_out, c, m_rows, n_cols)];
+        col.set(j_out, 0, tmp[phase2_src_row(j_out, c, m_rows, n_cols)]);
     }
+}
+
+/// Both phases on `E`: rows, then columns, one per task (each worker
+/// keeps its own row or column of scratch).
+fn transpose_coprime<T: Copy, E: Pool<T>>(data: &mut [T], m_rows: usize, n_cols: usize) {
+    assert_eq!(data.len(), m_rows * n_cols);
+    assert!(is_coprime_shape(m_rows, n_cols), "dimensions must be coprime and > 1");
+    let minv = minv_for(m_rows, n_cols);
+    E::chunks(data, n_cols, || Vec::with_capacity(n_cols), |tmp, r, row| {
+        phase1_row(row, r, m_rows, minv, tmp);
+    });
+    E::bands(data, n_cols, 1, || Vec::with_capacity(m_rows), |tmp, c, col| {
+        phase2_col(col, c, m_rows, n_cols, tmp);
+    });
 }
 
 /// Sequential in-place transposition of a row-major `M × N` buffer with
@@ -106,20 +115,11 @@ fn phase2_col<T: Copy>(
 /// Panics if `data.len() != m_rows·n_cols` or the dimensions share a
 /// factor.
 pub fn transpose_coprime_seq<T: Copy>(data: &mut [T], m_rows: usize, n_cols: usize) {
-    assert_eq!(data.len(), m_rows * n_cols);
-    assert!(is_coprime_shape(m_rows, n_cols), "dimensions must be coprime and > 1");
-    let minv = minv_for(m_rows, n_cols);
-    let mut tmp = Vec::with_capacity(m_rows.max(n_cols));
-    for (r, row) in data.chunks_exact_mut(n_cols).enumerate() {
-        phase1_row(row, r, m_rows, minv, &mut tmp);
-    }
-    for c in 0..n_cols {
-        phase2_col(data, c, m_rows, n_cols, &mut tmp);
-    }
+    transpose_coprime::<T, Seq>(data, m_rows, n_cols);
 }
 
-/// Rayon-parallel variant: rows in parallel, then columns in parallel
-/// (each worker keeps its own row/column scratch).
+/// [`transpose_coprime_seq`] on the host pool: rows in parallel, then
+/// columns in parallel (each worker keeps its own row/column scratch).
 ///
 /// # Panics
 /// As [`transpose_coprime_seq`].
@@ -128,34 +128,7 @@ pub fn transpose_coprime_par<T: Copy + Send + Sync>(
     m_rows: usize,
     n_cols: usize,
 ) {
-    assert_eq!(data.len(), m_rows * n_cols);
-    assert!(is_coprime_shape(m_rows, n_cols), "dimensions must be coprime and > 1");
-    let minv = minv_for(m_rows, n_cols);
-    data.par_chunks_exact_mut(n_cols).enumerate().for_each_init(
-        || Vec::with_capacity(n_cols),
-        |tmp, (r, row)| phase1_row(row, r, m_rows, minv, tmp),
-    );
-    // Columns: disjoint stride-N index sets; use the same raw-pointer
-    // pattern as the cycle engine.
-    struct Ptr<T>(*mut T);
-    unsafe impl<T: Send> Sync for Ptr<T> {}
-    impl<T> Ptr<T> {
-        // A method so closures capture `&Ptr<T>` (which is `Sync`) rather
-        // than the bare `*mut T` field.
-        fn get(&self) -> *mut T {
-            self.0
-        }
-    }
-    let ptr = Ptr(data.as_mut_ptr());
-    (0..n_cols).into_par_iter().for_each_init(
-        || Vec::with_capacity(m_rows),
-        |tmp, c| {
-            // SAFETY: column c touches only offsets ≡ c (mod n_cols);
-            // columns are pairwise disjoint.
-            let data = unsafe { std::slice::from_raw_parts_mut(ptr.get(), m_rows * n_cols) };
-            phase2_col(data, c, m_rows, n_cols, tmp);
-        },
-    );
+    transpose_coprime::<T, Par>(data, m_rows, n_cols);
 }
 
 /// Convenience wrapper over [`Matrix`].
@@ -173,6 +146,7 @@ pub fn transpose_matrix_coprime<T: Copy + Send + Sync>(matrix: Matrix<T>) -> Mat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::tests::{iota, Elem};
 
     #[test]
     fn phase_formulas_invert_each_other() {
@@ -199,7 +173,8 @@ mod tests {
 
     #[test]
     fn par_matches_seq() {
-        for &(m, n) in &[(61usize, 45usize), (128, 127), (45, 61), (253, 16)] {
+        const SHAPES: &[(usize, usize)] = &[(61, 45), (128, 127), (45, 61), (253, 16)];
+        for &(m, n) in SHAPES {
             let mat = Matrix::pattern_f32(m, n);
             let mut a = mat.as_slice().to_vec();
             transpose_coprime_seq(&mut a, m, n);
@@ -207,6 +182,18 @@ mod tests {
             transpose_coprime_par(&mut b, m, n);
             assert_eq!(a, b, "{m}x{n}");
         }
+        fn at_width<T: Elem>() {
+            for &(m, n) in SHAPES {
+                let mut a: Vec<T> = iota(m * n);
+                transpose_coprime_seq(&mut a, m, n);
+                let mut b: Vec<T> = iota(m * n);
+                transpose_coprime_par(&mut b, m, n);
+                assert_eq!(a, b, "{m}x{n}");
+            }
+        }
+        at_width::<u8>();
+        at_width::<u64>();
+        at_width::<[u32; 3]>();
     }
 
     #[test]

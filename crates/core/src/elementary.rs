@@ -27,11 +27,12 @@
 //!   `k ↦ k·rows mod (rows·cols − 1)` on super-element indices
 //!   ([`TransposePerm`]).
 //!
-//! This module provides a sequential in-place cycle engine over any
-//! bijective index map, an out-of-place reference, and the instanced
-//! wrapper; [`parallel`] adds multi-threaded execution.
+//! This module provides the in-place cycle engine over any bijective
+//! index map, an out-of-place reference, and the instanced wrapper, all
+//! run over the [`crate::pool`] seam; [`parallel`] holds P-IPT.
 
 use crate::perm::cycle::TransposePerm;
+use crate::pool::{Disjoint, Par, Pool, Seq};
 use crate::tiles::SHARED_CAPACITY_WORDS;
 
 pub mod parallel;
@@ -99,7 +100,7 @@ pub fn cycle_shift_seq_with<T: Copy>(
     assert_eq!(visited.len(), perm.len(), "visited bitmap size mismatch");
     visited.fill(false);
     let n = perm.len();
-    let mut tmp: Vec<T> = Vec::with_capacity(super_size);
+    let (mut data, mut tmp) = (Disjoint::new(data), Vec::with_capacity(super_size));
     for leader in 0..n {
         if visited[leader] {
             continue;
@@ -108,7 +109,7 @@ pub fn cycle_shift_seq_with<T: Copy>(
         if perm.dest(leader) == leader {
             continue; // fixed point
         }
-        shift_one_cycle(data, perm, super_size, leader, &mut tmp, Some(visited));
+        move_cycle(&mut data, perm, super_size, leader, &mut tmp, Some(visited));
     }
 }
 
@@ -122,7 +123,7 @@ pub fn cycle_shift_seq_minimal<T: Copy>(data: &mut [T], perm: &impl IndexPerm, s
     assert!(super_size > 0, "super_size must be positive");
     assert_eq!(data.len(), perm.len() * super_size, "data/permutation size mismatch");
     let n = perm.len();
-    let mut tmp: Vec<T> = Vec::with_capacity(super_size);
+    let (mut data, mut tmp) = (Disjoint::new(data), Vec::with_capacity(super_size));
     for leader in 0..n {
         if perm.dest(leader) == leader {
             continue; // fixed point
@@ -140,50 +141,49 @@ pub fn cycle_shift_seq_minimal<T: Copy>(data: &mut [T], perm: &impl IndexPerm, s
         if !is_leader {
             continue;
         }
-        shift_one_cycle(data, perm, super_size, leader, &mut tmp, None);
+        move_cycle(&mut data, perm, super_size, leader, &mut tmp, None);
     }
 }
 
-/// Shift the cycle through `leader`: `data'[x] = data[src(x)]`, walked
-/// backwards from the leader so a single temp super-element suffices.
-/// Marks members in `visited` when provided.
-fn shift_one_cycle<T: Copy>(
-    data: &mut [T],
+/// The cycle mover: shift the cycle through `leader`,
+/// `data'[x] = data[src(x)]`, walked backwards from the leader so a single
+/// temporary super-element (`tmp`) suffices. Marks members in `visited`
+/// when provided.
+pub(crate) fn move_cycle<T: Copy>(
+    data: &mut Disjoint<'_, T>,
     perm: &impl IndexPerm,
-    super_size: usize,
+    s: usize,
     leader: usize,
     tmp: &mut Vec<T>,
     mut visited: Option<&mut Vec<bool>>,
 ) {
-    if super_size == 1 {
+    let mut cur = leader;
+    let mut prev = perm.src(cur);
+    if s == 1 {
         // Scalar fast path: range-based copies cost more than the move.
-        let saved = data[leader];
-        let mut cur = leader;
-        let mut prev = perm.src(cur);
+        let saved = data.read(leader);
         while prev != leader {
             if let Some(v) = visited.as_deref_mut() {
                 v[prev] = true;
             }
-            data[cur] = data[prev];
+            data.write(cur, data.read(prev));
             cur = prev;
             prev = perm.src(cur);
         }
-        data[cur] = saved;
+        data.write(cur, saved);
         return;
     }
     tmp.clear();
-    tmp.extend_from_slice(&data[leader * super_size..(leader + 1) * super_size]);
-    let mut cur = leader;
-    let mut prev = perm.src(cur);
+    data.load(leader * s, s, tmp);
     while prev != leader {
         if let Some(v) = visited.as_deref_mut() {
             v[prev] = true;
         }
-        data.copy_within(prev * super_size..(prev + 1) * super_size, cur * super_size);
+        data.copy(prev * s, cur * s, s);
         cur = prev;
         prev = perm.src(cur);
     }
-    data[cur * super_size..(cur + 1) * super_size].copy_from_slice(tmp);
+    data.store(cur * s, tmp);
 }
 
 /// BS on the host (paper §5, Figure 1): load the `rows × cols` tile
@@ -311,25 +311,39 @@ impl InstancedTranspose {
         self.super_size == 1 && self.rows * self.cols <= SHARED_CAPACITY_WORDS
     }
 
+    /// Execute in place on `E`, one task per instance, or per cycle of a
+    /// single cycle-following instance.
+    pub(crate) fn apply<T: Copy, E: Pool<T>>(&self, data: &mut [T]) {
+        assert_eq!(data.len(), self.total_len(), "data length mismatch");
+        let (il, rows, cols, s) = (self.instance_len(), self.rows, self.cols, self.super_size);
+        let perm = self.perm();
+        if self.is_tile_stage() {
+            E::chunks(data, il, || Vec::with_capacity(il), |tile, _, chunk| {
+                transpose_tile(chunk, rows, cols, tile);
+            });
+        } else if self.instances == 1 {
+            parallel::cycle_shift::<T, E>(data, &perm, s);
+        } else {
+            E::chunks(data, il, || vec![false; IndexPerm::len(&perm)], |visited, _, chunk| {
+                cycle_shift_seq_with(chunk, &perm, s, visited);
+            });
+        }
+    }
+
     /// Execute in place, sequentially.
     ///
     /// # Panics
     /// Panics if `data.len() != self.total_len()`.
     pub fn apply_seq<T: Copy>(&self, data: &mut [T]) {
-        assert_eq!(data.len(), self.total_len(), "data length mismatch");
-        let il = self.instance_len();
-        if self.is_tile_stage() {
-            let mut tile = Vec::with_capacity(il);
-            for chunk in data.chunks_exact_mut(il) {
-                transpose_tile(chunk, self.rows, self.cols, &mut tile);
-            }
-            return;
-        }
-        let perm = self.perm();
-        let mut visited = vec![false; IndexPerm::len(&perm)];
-        for chunk in data.chunks_exact_mut(il) {
-            cycle_shift_seq_with(chunk, &perm, self.super_size, &mut visited);
-        }
+        self.apply::<T, Seq>(data);
+    }
+
+    /// Execute in place on the host pool.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != self.total_len()`.
+    pub fn apply_par<T: Copy + Send + Sync>(&self, data: &mut [T]) {
+        self.apply::<T, Par>(data);
     }
 
     /// Execute out of place into `dst` (reference semantics).
@@ -389,7 +403,12 @@ impl FusedTileTranspose {
 
     /// Execute in place, sequentially.
     pub fn apply_seq<T: Copy>(&self, data: &mut [T]) {
-        cycle_shift_seq(data, self, 1);
+        parallel::cycle_shift::<T, Seq>(data, self, 1);
+    }
+
+    /// Execute in place with cycle-level parallelism.
+    pub fn apply_par<T: Copy + Send + Sync>(&self, data: &mut [T]) {
+        parallel::cycle_shift::<T, Par>(data, self, 1);
     }
 }
 

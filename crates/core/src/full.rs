@@ -4,8 +4,9 @@
 //! This is the host-side (pure CPU) entry point. The GPU-simulated execution
 //! of the same plans lives in the `ipt-gpu` crate.
 
-use crate::c2r::{transpose_c2r_par, transpose_c2r_seq};
+use crate::c2r::c2r;
 use crate::matrix::Matrix;
+use crate::pool::{Par, Pool, Seq};
 use crate::scheme::{decide_scheme, transpose_square_in_place, Scheme};
 use crate::stages::{PlanError, StagePlan, TileConfig};
 use crate::tiles::TileHeuristic;
@@ -73,58 +74,42 @@ pub fn plan_auto(rows: usize, cols: usize, algo: Algorithm, heuristic: &TileHeur
     }
 }
 
-/// The planner's non-staged routes, shared by the in-place drivers: `Ok`
-/// when [`decide_scheme`] sends the shape past the staged plans — row and
-/// column vectors flip their shape, squares swap pairwise, and shapes with
-/// no usable tile take the C2R decomposition (`c2r` runs it).
-fn short_circuit<T: Copy>(
-    matrix: Matrix<T>,
-    c2r: impl FnOnce(&mut [T], usize, usize),
-) -> Result<Matrix<T>, Matrix<T>> {
+/// Transpose `matrix` in place on `E`, routed by [`decide_scheme`]: row
+/// and column vectors flip their shape, squares swap pairwise, shapes with
+/// no usable tile take the C2R decomposition, and the rest run `algo`'s
+/// plan with an automatically selected tile.
+fn transpose_in_place<T: Copy, E: Pool<T>>(matrix: Matrix<T>, algo: Algorithm) -> Matrix<T> {
     let (rows, cols) = (matrix.rows(), matrix.cols());
     let mut matrix = matrix;
+    let data = matrix.as_mut_slice();
     match decide_scheme(rows, cols, &TileHeuristic::default()).scheme {
         // Row/column vectors (and empties): the storage is already the
         // transpose — only the shape flips.
         Scheme::Identity => {}
-        Scheme::SquareTiled => transpose_square_in_place(matrix.as_mut_slice(), rows),
-        Scheme::C2R => c2r(matrix.as_mut_slice(), rows, cols),
-        _ => return Err(matrix),
+        Scheme::SquareTiled => transpose_square_in_place(data, rows),
+        Scheme::C2R => c2r::<T, E>(data, rows, cols, 1),
+        _ => plan_auto(rows, cols, algo, &TileHeuristic::default()).execute::<T, E>(data),
     }
-    Ok(matrix.assume_transposed_shape())
+    matrix.assume_transposed_shape()
 }
 
 /// Transpose `matrix` in place (same backing storage) sequentially and
 /// return it with the flipped shape. [`decide_scheme`] routes the shape:
 /// degenerate shapes (`1 × n`, `m × 1`) and squares short-circuit, shapes
-/// with no usable tile take [`transpose_c2r_seq`], and the rest run
+/// with no usable tile take
+/// [`transpose_c2r_seq`](crate::c2r::transpose_c2r_seq), and the rest run
 /// `algo`'s staged plan.
 #[must_use]
 pub fn transpose_in_place_seq<T: Copy>(matrix: Matrix<T>, algo: Algorithm) -> Matrix<T> {
-    let matrix = match short_circuit(matrix, transpose_c2r_seq) {
-        Ok(done) => return done,
-        Err(m) => m,
-    };
-    let plan = plan_auto(matrix.rows(), matrix.cols(), algo, &TileHeuristic::default());
-    let mut matrix = matrix;
-    plan.execute_seq(matrix.as_mut_slice());
-    matrix.assume_transposed_shape()
+    transpose_in_place::<T, Seq>(matrix, algo)
 }
 
-/// Transpose `matrix` in place using rayon and return it with the flipped
-/// shape, routed as [`transpose_in_place_seq`] (C2R shapes take
-/// [`transpose_c2r_par`]). Under the offline rayon shim (`shims/rayon`)
-/// the "parallel" work runs sequentially on the calling thread.
+/// Transpose `matrix` in place on the host pool ([`crate::pool`]) and
+/// return it with the flipped shape, routed as [`transpose_in_place_seq`]
+/// (C2R shapes take [`transpose_c2r_par`](crate::c2r::transpose_c2r_par)).
 #[must_use]
 pub fn transpose_in_place_par<T: Copy + Send + Sync>(matrix: Matrix<T>, algo: Algorithm) -> Matrix<T> {
-    let matrix = match short_circuit(matrix, transpose_c2r_par) {
-        Ok(done) => return done,
-        Err(m) => m,
-    };
-    let plan = plan_auto(matrix.rows(), matrix.cols(), algo, &TileHeuristic::default());
-    let mut matrix = matrix;
-    plan.execute_par(matrix.as_mut_slice());
-    matrix.assume_transposed_shape()
+    transpose_in_place::<T, Par>(matrix, algo)
 }
 
 /// Transpose **any** rectangular matrix in place — no divisibility
@@ -145,6 +130,7 @@ pub fn transpose_in_place_any<T: Copy + Send + Sync>(matrix: Matrix<T>) -> Matri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::c2r::transpose_c2r_seq;
 
     #[test]
     fn auto_transpose_all_algorithms() {

@@ -11,7 +11,8 @@
 //!   `0100!`, `0010!`, `1000!` ([`elementary`]),
 //! * 3-stage / 4-stage / fused / single-stage full plans ([`stages`]),
 //! * automatic tile selection with the §7.4 pruning heuristic ([`tiles`]),
-//! * AoS/SoA/ASTA layout marshaling ([`layout`]).
+//! * AoS/SoA/ASTA layout marshaling ([`layout`]),
+//! * the host work-distribution seam every host pass runs on ([`pool`]).
 //!
 //! The GPU-simulated execution of the same plans lives in the `ipt-gpu`
 //! crate; CPU baselines (Gustavson/Karlsson, MKL-like) in `ipt-baselines`.
@@ -29,6 +30,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![deny(unsafe_code)]
 
 pub mod c2r;
 pub mod check;
@@ -41,6 +43,7 @@ pub mod matrix;
 pub mod numtheory;
 pub mod outofcore;
 pub mod perm;
+pub mod pool;
 pub mod stages;
 pub mod tiles;
 

@@ -14,9 +14,11 @@
 //! Each plan is *data-free*: it records the [`StageOp`]s and their factorial
 //! codes; execution (sequential/parallel/GPU) is layered on top.
 
+use crate::elementary::parallel::cycle_shift;
 use crate::elementary::{FusedTileTranspose, InstancedTranspose};
 use crate::perm::cycle::TransposePerm;
 use crate::perm::factorial::FactorialCode;
+use crate::pool::{Par, Pool, Seq};
 
 /// The tiling `(m, n)` of an `M × N` matrix: `M = M′·m`, `N = N′·n`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,20 +118,22 @@ impl StageOp {
         }
     }
 
-    /// Execute sequentially in place.
-    pub fn apply_seq<T: Copy>(&self, data: &mut [T]) {
+    /// Execute in place on `E`.
+    fn apply<T: Copy, E: Pool<T>>(&self, data: &mut [T]) {
         match self {
-            StageOp::Instanced(op) => op.apply_seq(data),
-            StageOp::Fused(op) => op.apply_seq(data),
+            StageOp::Instanced(op) => op.apply::<T, E>(data),
+            StageOp::Fused(op) => cycle_shift::<T, E>(data, op, 1),
         }
     }
 
-    /// Execute with rayon in place.
+    /// Execute sequentially in place.
+    pub fn apply_seq<T: Copy>(&self, data: &mut [T]) {
+        self.apply::<T, Seq>(data);
+    }
+
+    /// Execute in place on the host pool.
     pub fn apply_par<T: Copy + Send + Sync>(&self, data: &mut [T]) {
-        match self {
-            StageOp::Instanced(op) => op.apply_par(data),
-            StageOp::Fused(op) => op.apply_par(data),
-        }
+        self.apply::<T, Par>(data);
     }
 }
 
@@ -275,26 +279,28 @@ impl StagePlan {
         self.rows * self.cols
     }
 
+    /// Execute all stages in place on `E`.
+    pub(crate) fn execute<T: Copy, E: Pool<T>>(&self, data: &mut [T]) {
+        assert_eq!(data.len(), self.total_len(), "matrix size mismatch");
+        for stage in &self.stages {
+            stage.op.apply::<T, E>(data);
+        }
+    }
+
     /// Execute all stages sequentially in place.
     ///
     /// # Panics
     /// Panics if `data.len() != rows*cols`.
     pub fn execute_seq<T: Copy>(&self, data: &mut [T]) {
-        assert_eq!(data.len(), self.total_len(), "matrix size mismatch");
-        for stage in &self.stages {
-            stage.op.apply_seq(data);
-        }
+        self.execute::<T, Seq>(data);
     }
 
-    /// Execute all stages with rayon in place.
+    /// Execute all stages in place on the host pool.
     ///
     /// # Panics
     /// Panics if `data.len() != rows*cols`.
     pub fn execute_par<T: Copy + Send + Sync>(&self, data: &mut [T]) {
-        assert_eq!(data.len(), self.total_len(), "matrix size mismatch");
-        for stage in &self.stages {
-            stage.op.apply_par(data);
-        }
+        self.execute::<T, Par>(data);
     }
 
     /// Compose the per-stage scalar index maps into the plan's end-to-end

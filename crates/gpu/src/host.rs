@@ -14,7 +14,7 @@
 use crate::opts::GpuOptions;
 use crate::pipeline::{plan_flag_words, run_plan, transpose_on_device};
 use crate::recover::{
-    transpose_with_recovery, verify_exact, RecoveryPolicy, RecoveryReport, TransposeError,
+    transpose_with_recovery, verify_exact_elems, RecoveryPolicy, RecoveryReport, TransposeError,
 };
 use gpu_sim::{
     lower, simulate, Buffer, Cmd, Des, DeviceSpec, ECmd, FaultPlan, PipelineStats, QCmd,
@@ -302,7 +302,7 @@ fn run_host_async_body(
 
     // Verify the chunked execution.
     let result = sim.download_u32(data);
-    verify_exact(&host, &result, rows, cols)?;
+    verify_exact_elems(&host, &result, rows, cols, 1)?;
 
     Ok(HostReport::new(timeline, bytes, kernels, queues.len()))
 }
@@ -326,7 +326,7 @@ pub fn run_host_oop(
     let k = crate::oop::OopTranspose { src, dst, rows, cols };
     let kernel = sim.launch(&k, &NoopRecorder, 0.0)?;
     let stats = PipelineStats { stages: vec![kernel], overhead_s: 0.0 };
-    verify_exact(host.as_slice(), &sim.download_u32(dst), rows, cols)?;
+    verify_exact_elems(host.as_slice(), &sim.download_u32(dst), rows, cols, 1)?;
     let bytes = matrix_bytes(rows, cols);
     let timeline = simulate(&Des::device(dev, &sync_queue(dev, bytes, &stats, 0.0)))?;
     Ok(HostReport::new(timeline, bytes, stats, 1))

@@ -72,8 +72,8 @@ pub use pipeline::{
     transpose_on_device, transpose_on_device_rec, StageKernel, MAX_CYCLE_SCAN,
 };
 pub use recover::{
-    host_transpose, host_transpose_elems, multiset_checksum, transpose_scheme_with_recovery,
-    transpose_with_recovery, verify_exact, verify_exact_elems, RecoveryPath, RecoveryPolicy,
+    host_transpose_elems, multiset_checksum, transpose_scheme_with_recovery,
+    transpose_with_recovery, verify_exact_elems, RecoveryPath, RecoveryPolicy,
     RecoveryReport, TransposeError, VerifyError,
 };
 pub use fleet::{Fleet, FleetConfig, FleetRound};

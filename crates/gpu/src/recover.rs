@@ -311,29 +311,9 @@ impl RecoveryReport {
     /// Emit this report into a [`Recorder`](ipt_obs::Recorder): retry
     /// counters under the `recovery` scope, one instant event per injected
     /// fault that fired, and the penalty/path as gauges. `ts_us` places the
-    /// fault events on the recorder's global clock.
-    pub fn record<R: ipt_obs::Recorder>(&self, rec: &R, ts_us: f64) {
-        if !rec.enabled() {
-            return;
-        }
-        use ipt_obs::Counter;
-        rec.add("recovery", Counter::FaultsInjected, self.faults.len() as u64);
-        rec.add("recovery", Counter::StageRetries, self.stage_retries as u64);
-        rec.add("recovery", Counter::TransferRetries, self.transfer_retries as u64);
-        rec.add("recovery", Counter::SchemeRetries, self.scheme_retries as u64);
-        rec.gauge("recovery", "penalty_s", self.penalty_s);
-        for f in &self.faults {
-            rec.event(ts_us, "fault", &format!("{:?} at {}: {}", f.kind, f.site, f.detail));
-        }
-        if let Some(e) = &self.primary_error {
-            rec.event(ts_us, "primary_path_abandoned", e);
-        }
-    }
-
-    /// [`RecoveryReport::record`] with causal provenance: every emitted
-    /// event detail is prefixed with the request's trace id, so recovery
-    /// incidents in a serving trace can be joined back to the request
-    /// that suffered them.
+    /// fault events on the recorder's global clock. Every event detail is
+    /// prefixed with the request's trace id, so recovery incidents in a
+    /// serving trace can be joined back to the request that suffered them.
     pub fn record_traced<R: ipt_obs::Recorder>(&self, rec: &R, ts_us: f64, trace_id: u64) {
         if !rec.enabled() {
             return;
@@ -375,22 +355,10 @@ pub fn multiset_checksum(words: &[u32]) -> (u64, u64) {
     (sum, xor)
 }
 
-/// Exact element check of `result` against the transposition of `src`.
-///
-/// # Errors
-/// [`VerifyError`] naming the first mismatching offset.
-pub fn verify_exact(
-    src: &[u32],
-    result: &[u32],
-    rows: usize,
-    cols: usize,
-) -> Result<(), VerifyError> {
-    verify_exact_elems(src, result, rows, cols, 1)
-}
-
-/// [`verify_exact`] for super-elements of `elem_words` 32-bit words each
-/// (e.g. 2 for `f64`): the permutation acts on element indices, each
-/// element's words travel together.
+/// Exact element check of `result` against the transposition of `src`,
+/// for elements of `elem_words` 32-bit words each (1 for `u32`, 2 for
+/// `f64`): the permutation acts on element indices, each element's words
+/// travel together.
 ///
 /// # Errors
 /// [`VerifyError`] naming the first mismatching element, or the size
@@ -435,13 +403,8 @@ pub fn verify_exact_elems(
     Ok(())
 }
 
-/// Sequential host transposition — the reference path of last resort.
-#[must_use]
-pub fn host_transpose(src: &[u32], rows: usize, cols: usize) -> Vec<u32> {
-    host_transpose_elems(src, rows, cols, 1)
-}
-
-/// [`host_transpose`] for super-elements of `elem_words` words each.
+/// Sequential host transposition — the reference path of last resort —
+/// for elements of `elem_words` 32-bit words each.
 #[must_use]
 pub fn host_transpose_elems(
     src: &[u32],
@@ -1130,9 +1093,9 @@ mod tests {
     #[test]
     fn host_transpose_is_exact() {
         let src = Matrix::iota(7, 13).into_vec();
-        let out = host_transpose(&src, 7, 13);
+        let out = host_transpose_elems(&src, 7, 13, 1);
         assert_eq!(out, Matrix::iota(7, 13).transposed().into_vec());
-        verify_exact(&src, &out, 7, 13).unwrap();
+        verify_exact_elems(&src, &out, 7, 13, 1).unwrap();
     }
 
     #[test]
@@ -1344,7 +1307,7 @@ mod tests {
     #[test]
     fn verify_rejects_length_mismatch_and_zero_width() {
         let src = Matrix::iota(3, 5).into_vec();
-        let good = host_transpose(&src, 3, 5);
+        let good = host_transpose_elems(&src, 3, 5, 1);
         verify_exact_elems(&src, &good, 3, 5, 1).unwrap();
         // Short result: typed error, not an out-of-bounds panic.
         assert!(verify_exact_elems(&src, &good[..14], 3, 5, 1).is_err());
@@ -1362,7 +1325,7 @@ mod tests {
         // and 2·3 + 2 = 8; corrupt both, the report names element 7.
         let (rows, cols) = (3, 5);
         let src = Matrix::iota(rows, cols).into_vec();
-        let mut bad = host_transpose(&src, rows, cols);
+        let mut bad = host_transpose_elems(&src, rows, cols, 1);
         bad[8] ^= 1;
         bad[7] ^= 1;
         let err = verify_exact_elems(&src, &bad, rows, cols, 1).unwrap_err();

@@ -26,7 +26,7 @@ fn main() {
         stats.fixed_points
     );
 
-    // --- host-side (rayon) ------------------------------------------------
+    // --- host-side (host pool) --------------------------------------------
     let a = Matrix::pattern_f32(rows, cols);
     let expect = a.transposed();
     let t0 = std::time::Instant::now();

@@ -6,7 +6,7 @@
 //!
 //! * [`core`] (`ipt-core`) — permutation/cycle mathematics, elementary
 //!   tiled transpositions, 3-stage/4-stage plans, tile selection,
-//!   AoS/SoA/ASTA layout marshaling; sequential and rayon execution.
+//!   AoS/SoA/ASTA layout marshaling; sequential and host-pool execution.
 //! * [`sim`] (`gpu-sim`) — the SIMT execution simulator substrate
 //!   (devices, warps, banks, locks, occupancy, command queues, PCIe).
 //! * [`gpu`] (`ipt-gpu`) — the paper's kernels on the simulator: BS,

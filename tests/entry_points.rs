@@ -14,7 +14,7 @@ use ipt::gpu::recover::transpose_scheme_with_recovery;
 use ipt::gpu::serve::{PriorityClass, ServeRequest};
 use ipt::gpu::stream::{stream_transpose, StreamChaos, StreamConfig};
 use ipt::gpu::{
-    host_transpose, transpose_with_recovery, BsKernel, GpuOptions, RecoveryPath, RecoveryPolicy,
+    host_transpose_elems, transpose_with_recovery, BsKernel, GpuOptions, RecoveryPath, RecoveryPolicy,
 };
 use ipt::sim::{
     launch, simulate, Des, DeviceSpec, ECmd, EngineCrash, EngineMode, FaultKind, FaultPlan,
@@ -66,7 +66,7 @@ fn launch_is_bit_identical_serial_and_parallel() {
     assert_eq!(serial_mem, parallel_mem);
     // Every 16x12 instance was transposed.
     let tile: Vec<u32> = (0..16 * 12).collect();
-    assert_eq!(serial_mem[..16 * 12], host_transpose(&tile, 16, 12)[..]);
+    assert_eq!(serial_mem[..16 * 12], host_transpose_elems(&tile, 16, 12, 1)[..]);
 }
 
 #[test]

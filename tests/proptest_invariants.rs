@@ -179,14 +179,34 @@ proptest! {
         s in 1usize..3,
     ) {
         let p = TransposePerm::new(r, c);
-        let orig: Vec<u32> = (0..(r * c * s) as u32).collect();
-        let mut want = vec![0u32; orig.len()];
-        cycle_shift_oop(&orig, &mut want, &p, s);
-        let buckets = ipt::baselines::plan_segments(&p, threads);
-        let mut got = orig.clone();
-        ipt::baselines::shift_segmented(&mut got, &p, s, &buckets);
+        let (got, want) = segmented_and_reference(&p, s, threads, |k| k as u32);
+        prop_assert_eq!(got, want);
+        // 1-, 8- and 12-byte elements through the same segment handle.
+        let (got, want) = segmented_and_reference(&p, s, threads, |k| k as u8);
+        prop_assert_eq!(got, want);
+        let (got, want) = segmented_and_reference(&p, s, threads, |k| (k as u64) << 32 | k as u64);
+        prop_assert_eq!(got, want);
+        let (got, want) =
+            segmented_and_reference(&p, s, threads, |k| [k as u32, !(k as u32), k as u32 >> 1]);
         prop_assert_eq!(got, want);
     }
+}
+
+/// GKK's segmented shift of `perm` over super-elements of `s` elements
+/// `at(0), at(1), …`, and the out-of-place reference result.
+fn segmented_and_reference<T: Copy + Default + Send + Sync>(
+    perm: &TransposePerm,
+    s: usize,
+    threads: usize,
+    at: impl Fn(usize) -> T,
+) -> (Vec<T>, Vec<T>) {
+    let orig: Vec<T> = (0..perm.len() * s).map(at).collect();
+    let mut want = vec![T::default(); orig.len()];
+    cycle_shift_oop(&orig, &mut want, perm, s);
+    let buckets = ipt::baselines::plan_segments(perm, threads);
+    let mut got = orig;
+    ipt::baselines::shift_segmented(&mut got, perm, s, &buckets);
+    (got, want)
 }
 
 proptest! {
