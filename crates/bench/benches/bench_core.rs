@@ -37,7 +37,7 @@ fn bench_plans(c: &mut Criterion) {
                 || m.as_slice().to_vec(),
                 |mut data| {
                     plan.execute_seq(&mut data);
-                    black_box(data.len())
+                    data
                 },
                 criterion::BatchSize::LargeInput,
             );
@@ -47,7 +47,7 @@ fn bench_plans(c: &mut Criterion) {
                 || m.as_slice().to_vec(),
                 |mut data| {
                     plan.execute_par(&mut data);
-                    black_box(data.len())
+                    data
                 },
                 criterion::BatchSize::LargeInput,
             );
@@ -56,7 +56,8 @@ fn bench_plans(c: &mut Criterion) {
     g.finish();
 }
 
-/// One in-place pass over a fresh copy of `m` per iteration.
+/// One in-place pass over a fresh copy of `m` per iteration. The copy is
+/// returned, so freeing it is not timed.
 fn bench_pass(
     g: &mut criterion::BenchmarkGroup,
     name: &str,
@@ -68,16 +69,26 @@ fn bench_pass(
             || m.as_slice().to_vec(),
             |mut data| {
                 pass(&mut data);
-                black_box(data.len())
+                data
             },
             criterion::BatchSize::LargeInput,
         );
     });
 }
 
+/// The C2R passes on their own: phase 1 (a no-op when gcd is 1), the row
+/// shuffle, and the column shuffle's rotation and row permutation.
+fn c2r_passes(g: &mut criterion::BenchmarkGroup, m: &Matrix<f32>) {
+    let geom = C2rGeometry::new(m.rows(), m.cols());
+    bench_pass(g, "c2r-rotate", m, |d| geom.rotate_columns(d));
+    bench_pass(g, "c2r-row-shuffle", m, |d| geom.shuffle_rows(d));
+    bench_pass(g, "c2r-col-rotate", m, |d| geom.rotate_columns_up(d));
+    bench_pass(g, "c2r-row-permute", m, |d| geom.permute_rows(d));
+}
+
 /// Every host stage on its own at 1440x360: the three 3-stage stages
-/// (100! and 0100! follow cycles, 0010! runs as BS tiles) and the three
-/// C2R passes (gcd 360, so the rotate pass runs).
+/// (100! and 0100! follow cycles, 0010! runs as BS tiles) and the C2R
+/// passes (gcd 360, so the rotate pass runs).
 fn bench_stages(c: &mut Criterion) {
     let mut g = c.benchmark_group("host-stage");
     g.sample_size(10);
@@ -88,12 +99,22 @@ fn bench_stages(c: &mut Criterion) {
     for stage in &plan.stages {
         bench_pass(&mut g, &stage.code.to_string(), &m, |d| stage.op.apply_par(d));
     }
-    let geom = C2rGeometry::new(r, cl);
-    bench_pass(&mut g, "c2r-rotate", &m, |d| geom.rotate_columns(d));
-    bench_pass(&mut g, "c2r-row-shuffle", &m, |d| geom.shuffle_rows(d));
-    bench_pass(&mut g, "c2r-col-shuffle", &m, |d| geom.shuffle_columns(d));
+    c2r_passes(&mut g, &m);
     g.finish();
 }
 
-criterion_group!(benches, bench_cycle_math, bench_plans, bench_stages);
+/// C2R at perfbench's `host-inplace` shape, 7919x1637 (gcd 1, 52 MB): the
+/// array is far beyond L2, so the column passes pay their strided traffic.
+fn bench_c2r_large(c: &mut Criterion) {
+    let mut g = c.benchmark_group("host-c2r-7919x1637");
+    g.sample_size(10);
+    let (r, cl) = (7919usize, 1637usize);
+    g.throughput(Throughput::Bytes(2 * (r * cl * 4) as u64));
+    let m = Matrix::pattern_f32(r, cl);
+    c2r_passes(&mut g, &m);
+    bench_pass(&mut g, "c2r-par", &m, |d| ipt_core::transpose_c2r_par(d, r, cl));
+    g.finish();
+}
+
+criterion_group!(benches, bench_cycle_math, bench_plans, bench_stages, bench_c2r_large);
 criterion_main!(benches);

@@ -12,20 +12,25 @@
 //!
 //! where `c = gcd(M, N)`, `a = M/c`, `b = N/c`. Every line permutes
 //! independently of every other line of its pass, so there are no
-//! per-element claim flags, no atomics, and perfect load balance; the
-//! scratch requirement is one panel per worker — never a second matrix.
+//! per-element claim flags, no atomics, and perfect load balance; a
+//! worker's scratch is a panel, a row and a bitmap — never a second matrix.
 //!
 //! ## Host engine
 //!
-//! Column passes run over panels one cache line wide (`W = 64 /
-//! size_of::<T>()` columns): the panel is copied out row-major (`W·M`
-//! elements of scratch, or one `N`-element row for the row pass if that
-//! is longer), then rewritten row by row. Every line walks its index map
-//! incrementally — the rotate pass computes one shift per column, the row
-//! shuffle steps the scatter form `d(q) = (q·M + (i − ⌊q/b⌋) mod M) mod N`
-//! by adding `M mod N`, and the column shuffle steps `t += N` — so no pass
-//! divides per element. The closed-form gathers below remain the
-//! specification the walks are tested against.
+//! The host runs the column shuffle in the form Catanzaro et al. give it:
+//! its gather row is `(p(J) + j) mod M` with the row bijection
+//! `p(J) = (J·N + ⌊J/a⌋) mod M`, so the pass is a rotation of column `j`
+//! up by `j mod M` followed by a permutation of whole rows through `p`,
+//! which follows `p`'s cycles with rows as super-elements. The row shuffle
+//! scatters element `q` of row `i` to `(e(q) + ρ) mod N` through one
+//! `N`-entry table `e(q) = (q·M − ⌊q/b⌋) mod N`, with `ρ = i` for
+//! `q < (i + 1)·b` and `ρ = i + M` after. Both column rotations run over
+//! panels one cache line wide (`W = 64 / size_of::<T>()` columns): the
+//! panel is copied out row-major (`W·M` elements of scratch), then
+//! rewritten row by row, in segments between the rows where a column's
+//! source wraps. No pass divides per element. The closed-form gathers
+//! below remain the specification the host passes are tested against;
+//! the device kernels (`ipt_gpu::c2r`) evaluate them directly.
 //!
 //! ## Derivation (gather forms)
 //!
@@ -49,6 +54,8 @@
 //! assert_eq!(t, a.transposed());
 //! ```
 
+use crate::elementary::parallel::cycle_shift;
+use crate::elementary::IndexPerm;
 use crate::matrix::Matrix;
 use crate::numtheory::{gcd, mod_inverse};
 use crate::pool::{Band, Par, Pool, Seq};
@@ -137,17 +144,50 @@ impl C2rGeometry {
         let q = (t / self.m as u128) as usize;
         (r + (q / self.b) % self.m) % self.m
     }
+
+    /// The phase-2 scatter table: `e(q) = (q·M − ⌊q/b⌋) mod N`. Element
+    /// `q` of row `i` moves to column `(e(q) + ρ) mod N`, with `ρ = i` for
+    /// `q < (i + 1)·b` and `ρ = i + M` after.
+    #[must_use]
+    pub fn row_scatter_base(&self, q: usize) -> usize {
+        debug_assert!(q < self.n);
+        let qm = (q as u128 * self.m as u128 % self.n as u128) as usize;
+        (qm + self.n - q / self.b) % self.n
+    }
+
+    /// The first step of phase 3 as a gather: the element that ends at row
+    /// `i` of column `j` comes from row `(i + j) mod M` (column `j` rotates
+    /// up by `j mod M`).
+    #[inline]
+    #[must_use]
+    pub fn col_rotate_src_row(&self, i: usize, j: usize) -> usize {
+        debug_assert!(i < self.m && j < self.n);
+        (i + j % self.m) % self.m
+    }
+
+    /// The second step of phase 3: output row `J` is the whole rotated row
+    /// `p(J) = (J·N + ⌊J/a⌋) mod M`, a bijection on rows. Then
+    /// `col_shuffle_src_row(J, j) = col_rotate_src_row(p(J), j)`.
+    #[inline]
+    #[must_use]
+    pub fn row_perm_src(&self, j_out: usize) -> usize {
+        debug_assert!(j_out < self.m);
+        let t = j_out as u128 * self.n as u128 + (j_out / self.a) as u128;
+        (t % self.m as u128) as usize
+    }
 }
 
 impl C2rGeometry {
     /// Phase 1 in place over a row-major `M × N` buffer, sequentially:
-    /// rotate column `q` down by `⌊q/b⌋` (an identity pass when `c = 1`).
+    /// rotate column `q` down by `⌊q/b⌋`. Nothing to do when `c = 1`.
     ///
     /// # Panics
     /// Panics if `data.len() != M·N`.
     pub fn rotate_columns<T: Copy>(&self, data: &mut [T]) {
         assert_eq!(data.len(), self.m * self.n);
-        col_pass::<T, Seq, _>(data, self, 1, |q| RotateWalk::new(self, q));
+        if self.needs_rotate() {
+            col_pass::<T, Seq>(data, self, 1, |q| pre_rotate_start(self, q));
+        }
     }
 
     /// Phase 2 in place over a row-major `M × N` buffer, sequentially.
@@ -159,13 +199,34 @@ impl C2rGeometry {
         row_pass::<T, Seq>(data, self, 1);
     }
 
-    /// Phase 3 in place over a row-major `M × N` buffer, sequentially.
+    /// Phase 3 in place over a row-major `M × N` buffer, sequentially:
+    /// [`Self::rotate_columns_up`], then [`Self::permute_rows`].
     ///
     /// # Panics
     /// Panics if `data.len() != M·N`.
     pub fn shuffle_columns<T: Copy>(&self, data: &mut [T]) {
         assert_eq!(data.len(), self.m * self.n);
-        col_pass::<T, Seq, _>(data, self, 1, |j| ShuffleWalk::new(self, j));
+        col_shuffle::<T, Seq>(data, self, 1);
+    }
+
+    /// The column rotation of phase 3, sequentially: rotate column `j` up
+    /// by `j mod M`.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != M·N`.
+    pub fn rotate_columns_up<T: Copy>(&self, data: &mut [T]) {
+        assert_eq!(data.len(), self.m * self.n);
+        col_pass::<T, Seq>(data, self, 1, |j| j % self.m);
+    }
+
+    /// The row permutation of phase 3, sequentially: output row `J` takes
+    /// row `p(J)` ([`Self::row_perm_src`]).
+    ///
+    /// # Panics
+    /// Panics if `data.len() != M·N`.
+    pub fn permute_rows<T: Copy>(&self, data: &mut [T]) {
+        assert_eq!(data.len(), self.m * self.n);
+        cycle_shift::<T, Seq>(data, &RowPerm::new(self), self.n);
     }
 }
 
@@ -179,139 +240,92 @@ fn wrap(x: usize, m: usize) -> usize {
     }
 }
 
-/// An incremental walk down one line: each `step` yields the next index of
-/// the line's permutation with additions and compares only.
-trait Walk: Copy {
-    fn step(&mut self) -> usize;
-}
+/// Columns in the widest panel: 64 one-byte elements.
+const MAX_WIDTH: usize = 64;
 
-/// Phase-1 gather down column `q`: output row `i` reads row
-/// `(i − ⌊q/b⌋) mod M`. One shift per column (`⌊q/b⌋ < c ≤ M`), then a
-/// wrapping counter.
-#[derive(Clone, Copy)]
+/// A walk down the rows of a rotated panel `width` columns wide: column
+/// `w` of output row `k` reads panel element `k·width + off[w]`, from row
+/// `(start(w) + k) mod M`. Each `off[w]` drops by `M·width` at the row
+/// where its column's source wraps to row 0, so the rows run in segments
+/// between the wraps and no element pays a wrap test.
 struct RotateWalk {
-    src: usize,
+    off: [usize; MAX_WIDTH],
+    /// `(M − start(w), w)`, sorted: where column `w` wraps.
+    wraps: [(usize, usize); MAX_WIDTH],
+    width: usize,
     m: usize,
 }
 
 impl RotateWalk {
-    fn new(g: &C2rGeometry, q: usize) -> Self {
-        let shift = q / g.b;
-        Self { src: (g.m - shift) % g.m, m: g.m }
-    }
-}
-
-impl Walk for RotateWalk {
-    #[inline]
-    fn step(&mut self) -> usize {
-        let s = self.src;
-        self.src = wrap(s + 1, self.m);
-        s
-    }
-}
-
-/// Phase-2 scatter along row `i`: the element at column `q` moves to
-/// `d(q) = (q·M + (i − ⌊q/b⌋) mod M) mod N`. Stepping `q` adds `M mod N`
-/// to `q·M mod N`, and every `b` columns lowers `(i − ⌊q/b⌋) mod M` (kept
-/// with its residue mod `N`) by one.
-#[derive(Clone, Copy)]
-struct RowWalk {
-    /// `q·M mod N`.
-    qm: usize,
-    /// `(i − ⌊q/b⌋) mod M`.
-    r: usize,
-    /// `r mod N`.
-    r_mod_n: usize,
-    /// `q mod b`.
-    y: usize,
-    m: usize,
-    n: usize,
-    b: usize,
-    m_mod_n: usize,
-    /// `(M − 1) mod N`, where `r` wraps to.
-    top_mod_n: usize,
-}
-
-impl RowWalk {
-    fn new(g: &C2rGeometry, i: usize) -> Self {
-        Self {
-            qm: 0,
-            r: i,
-            r_mod_n: i % g.n,
-            y: 0,
-            m: g.m,
-            n: g.n,
-            b: g.b,
-            m_mod_n: g.m % g.n,
-            top_mod_n: (g.m - 1) % g.n,
+    fn new(m: usize, width: usize, start: impl Fn(usize) -> usize) -> Self {
+        assert!(width <= MAX_WIDTH);
+        let (mut off, mut wraps) = ([0; MAX_WIDTH], [(0, 0); MAX_WIDTH]);
+        for w in 0..width {
+            let s = start(w);
+            debug_assert!(s < m);
+            off[w] = s * width + w;
+            wraps[w] = (m - s, w);
         }
+        wraps[..width].sort_unstable();
+        Self { off, wraps, width, m }
     }
-}
 
-impl Walk for RowWalk {
+    /// `f(k, off)` for every output row `k`, in order.
     #[inline]
-    fn step(&mut self) -> usize {
-        let d = wrap(self.qm + self.r_mod_n, self.n);
-        self.qm = wrap(self.qm + self.m_mod_n, self.n);
-        self.y += 1;
-        if self.y == self.b {
-            self.y = 0;
-            if self.r == 0 {
-                self.r = self.m - 1;
-                self.r_mod_n = self.top_mod_n;
-            } else {
-                self.r -= 1;
-                self.r_mod_n = if self.r_mod_n == 0 { self.n - 1 } else { self.r_mod_n - 1 };
+    fn rows(mut self, mut f: impl FnMut(usize, &[usize])) {
+        let (width, mut k) = (self.width, 0);
+        for &(until, w) in &self.wraps[..width] {
+            for k in k..until {
+                f(k, &self.off[..width]);
             }
+            k = until;
+            self.off[w] = self.off[w].wrapping_sub(self.m * width);
         }
-        d
+        for k in k..self.m {
+            f(k, &self.off[..width]);
+        }
     }
 }
 
-/// Phase-3 gather down column `j`: output row `J` reads row
-/// `(t mod M + ⌊t/L⌋) mod M` with `t = J·N + j` and `L = M·b` — the
-/// closed form of [`C2rGeometry::col_shuffle_src_row`], since
-/// `⌊(t div M)/b⌋ = ⌊t/L⌋ < c ≤ M`. Each step adds `N` to `t`.
-#[derive(Clone, Copy)]
-struct ShuffleWalk {
-    /// `t mod M`.
-    t_mod_m: usize,
-    /// `t mod L`.
-    t_mod_l: usize,
-    /// `⌊t/L⌋`.
-    t_div_l: usize,
+/// Phase 1's first source row for column `q`: `(−⌊q/b⌋) mod M`.
+fn pre_rotate_start(g: &C2rGeometry, q: usize) -> usize {
+    (g.m - q / g.b) % g.m
+}
+
+/// `p` and its inverse as an [`IndexPerm`] over whole rows. Writing
+/// `J = u·a + v` (`u < c`, `v < a`), `p(J) = c·((v·b) mod a) + u`, since
+/// `a·N ≡ 0` and `v·N = c·(v·b)` modulo `M = c·a`; the inverse reads
+/// `u = R mod c` and `v = (⌊R/c⌋·b⁻¹) mod a` back off row `R`.
+struct RowPerm {
     m: usize,
-    n: usize,
-    l: usize,
-    n_mod_m: usize,
+    c: usize,
+    a: usize,
+    b: usize,
+    /// `b⁻¹ mod a` (`0` when `a = 1`).
+    b_inv: usize,
 }
 
-impl ShuffleWalk {
-    fn new(g: &C2rGeometry, j: usize) -> Self {
-        Self {
-            t_mod_m: j % g.m,
-            t_mod_l: j,
-            t_div_l: 0,
-            m: g.m,
-            n: g.n,
-            l: g.m * g.b,
-            n_mod_m: g.n % g.m,
-        }
+impl RowPerm {
+    fn new(g: &C2rGeometry) -> Self {
+        let b_inv = mod_inverse(g.b as u64 % g.a as u64, g.a as u64)
+            .expect("a and b are coprime by construction") as usize;
+        Self { m: g.m, c: g.c, a: g.a, b: g.b, b_inv }
     }
 }
 
-impl Walk for ShuffleWalk {
-    #[inline]
-    fn step(&mut self) -> usize {
-        let row = wrap(self.t_mod_m + self.t_div_l, self.m);
-        self.t_mod_m = wrap(self.t_mod_m + self.n_mod_m, self.m);
-        // N ≤ L, so one subtraction keeps `t mod L` reduced.
-        self.t_mod_l += self.n;
-        if self.t_mod_l >= self.l {
-            self.t_mod_l -= self.l;
-            self.t_div_l += 1;
-        }
-        row
+impl IndexPerm for RowPerm {
+    fn len(&self) -> usize {
+        self.m
+    }
+
+    fn dest(&self, r: usize) -> usize {
+        let v = (r / self.c) as u128 * self.b_inv as u128 % self.a as u128;
+        (r % self.c) * self.a + v as usize
+    }
+
+    fn src(&self, j_out: usize) -> usize {
+        let v = (j_out % self.a) as u128 * self.b as u128 % self.a as u128;
+        self.c * v as usize + j_out / self.a
     }
 }
 
@@ -332,74 +346,90 @@ fn put<T: Copy>(dst: &mut [T], di: usize, src: &[T], si: usize, ew: usize) {
     }
 }
 
-/// One column pass over the panel of columns starting at `q0` (the
+/// One column rotation over the panel of columns starting at `q0` (the
 /// worker's band): copy the panel row-major into `panel` (one cache line
-/// per row), then rewrite it row by row, column `q` taking the panel row
-/// its walk names.
-fn col_panel<T: Copy, W: Walk>(
+/// per row), then rewrite the band row by row, column `q` of output row
+/// `k` taking panel row `(start(q) + k) mod M`.
+fn col_panel<T: Copy>(
     band: &mut Band<'_, T>,
     g: &C2rGeometry,
     ew: usize,
     q0: usize,
     panel: &mut Vec<T>,
-    walk: &impl Fn(usize) -> W,
+    start: &impl Fn(usize) -> usize,
 ) {
-    const MAX_WIDTH: usize = 64;
     let width = panel_width::<T>(ew).min(g.n - q0);
-    debug_assert!(width <= MAX_WIDTH);
-    let m = g.m;
     panel.clear();
-    for r in 0..m {
+    for r in 0..g.m {
         band.read_row(r, panel);
     }
-    let mut walks = [walk(q0); MAX_WIDTH];
-    for (w, slot) in walks.iter_mut().enumerate().take(width).skip(1) {
-        *slot = walk(q0 + w);
-    }
-    for k in 0..m {
-        for (w, wk) in walks[..width].iter_mut().enumerate() {
-            let src = wk.step() * width + w;
-            // One-`T` elements skip the `ew` loop, which would dominate the pass.
-            if ew == 1 {
-                band.set(k, w, panel[src]);
-            } else {
-                for e in 0..ew {
-                    band.set(k, w * ew + e, panel[src * ew + e]);
-                }
+    RotateWalk::new(g.m, width, |w| start(q0 + w)).rows(|k, off| {
+        let (row, at) = (band.row_mut(k), k * width);
+        // One-`T` elements skip the `ew` loop, which would dominate the pass.
+        if ew == 1 {
+            for (x, &o) in row.iter_mut().zip(off) {
+                *x = panel[at.wrapping_add(o)];
+            }
+        } else {
+            for (x, &o) in row.chunks_exact_mut(ew).zip(off) {
+                let src = at.wrapping_add(o) * ew;
+                x.copy_from_slice(&panel[src..src + ew]);
             }
         }
-    }
+    });
 }
 
-/// A column pass on `E`, one panel per task. Scratch: one panel
-/// (`width·M` elements) per worker.
-fn col_pass<T: Copy, E: Pool<T>, W: Walk>(
+/// A column rotation on `E`, one panel per task; column `q`'s output row
+/// 0 reads row `start(q)`. Scratch: one panel (`width·M` elements) per
+/// worker.
+fn col_pass<T: Copy, E: Pool<T>>(
     data: &mut [T],
     g: &C2rGeometry,
     ew: usize,
-    walk: impl Fn(usize) -> W + Sync + Send,
+    start: impl Fn(usize) -> usize + Sync + Send,
 ) {
     let width = panel_width::<T>(ew);
     E::bands(data, g.n * ew, width * ew, || Vec::with_capacity(width * g.m * ew), |panel, p, band| {
-        col_panel(band, g, ew, p * width, panel, &walk);
+        col_panel(band, g, ew, p * width, panel, &start);
     });
 }
 
 /// Phase 2 on row `i`: stage the row into `tmp`, then scatter it through
-/// the row walk.
-fn shuffle_row<T: Copy>(row: &mut [T], g: &C2rGeometry, i: usize, ew: usize, tmp: &mut Vec<T>) {
+/// the table `e` ([`C2rGeometry::row_scatter_base`]) and the row's two
+/// rotations.
+fn shuffle_row<T: Copy>(
+    row: &mut [T],
+    g: &C2rGeometry,
+    i: usize,
+    ew: usize,
+    e: &[usize],
+    tmp: &mut Vec<T>,
+) {
     tmp.clear();
     tmp.extend_from_slice(row);
-    let mut walk = RowWalk::new(g, i);
-    for q in 0..g.n {
-        put(row, walk.step(), tmp, q, ew);
+    let n = g.n;
+    let split = ((i + 1) * g.b).min(n);
+    for (rho, qs) in [(i % n, 0..split), ((i + g.m) % n, split..n)] {
+        for q in qs {
+            put(row, wrap(e[q] + rho, n), tmp, q, ew);
+        }
     }
 }
 
-/// The row pass on `E`, one row per task. Scratch: one row per worker.
+/// The row pass on `E`, one row per task. Scratch: one row and the
+/// `N`-entry table per worker.
 fn row_pass<T: Copy, E: Pool<T>>(data: &mut [T], g: &C2rGeometry, ew: usize) {
     let len = g.n * ew;
-    E::chunks(data, len, || Vec::with_capacity(len), |tmp, i, row| shuffle_row(row, g, i, ew, tmp));
+    let init = || (Vec::with_capacity(len), (0..g.n).map(|q| g.row_scatter_base(q)).collect::<Vec<_>>());
+    E::chunks(data, len, init, |(tmp, e), i, row| shuffle_row(row, g, i, ew, e, tmp));
+}
+
+/// Phase 3 on `E`: the column rotation, then the row permutation `p`,
+/// which follows `p`'s cycles with whole rows as super-elements. Scratch:
+/// one panel per worker, then one row and an `M`-entry visited bitmap.
+fn col_shuffle<T: Copy, E: Pool<T>>(data: &mut [T], g: &C2rGeometry, ew: usize) {
+    col_pass::<T, E>(data, g, ew, |j| j % g.m);
+    cycle_shift::<T, E>(data, &RowPerm::new(g), g.n * ew);
 }
 
 /// The three passes on `E` over elements of `ew` consecutive `T`s.
@@ -408,15 +438,16 @@ pub(crate) fn c2r<T: Copy, E: Pool<T>>(data: &mut [T], m_rows: usize, n_cols: us
     assert_eq!(data.len(), m_rows * n_cols * ew);
     let g = C2rGeometry::new(m_rows, n_cols);
     if g.needs_rotate() {
-        col_pass::<T, E, _>(data, &g, ew, |q| RotateWalk::new(&g, q));
+        col_pass::<T, E>(data, &g, ew, |q| pre_rotate_start(&g, q));
     }
     row_pass::<T, E>(data, &g, ew);
-    col_pass::<T, E, _>(data, &g, ew, |j| ShuffleWalk::new(&g, j));
+    col_shuffle::<T, E>(data, &g, ew);
 }
 
 /// Sequential in-place C2R transposition of a row-major `M × N` buffer.
 /// Total: any `M, N ≥ 1`. Scratch: one column panel (`W·M` elements,
-/// `W = 64 / size_of::<T>()`), or one row if that is longer.
+/// `W = 64 / size_of::<T>()`), one row with an `N`-entry table, and an
+/// `M`-entry visited bitmap.
 ///
 /// # Panics
 /// Panics if `data.len() != m_rows·n_cols` or a dimension is zero.
@@ -424,8 +455,8 @@ pub fn transpose_c2r_seq<T: Copy>(data: &mut [T], m_rows: usize, n_cols: usize) 
     c2r::<T, Seq>(data, m_rows, n_cols, 1);
 }
 
-/// C2R on the host pool: column panels, then rows, then column panels in
-/// parallel — each worker keeps one panel (or row) of scratch.
+/// C2R on the host pool: column panels, rows, column panels and row
+/// cycles in parallel — each worker keeps its own panel, row and table.
 ///
 /// # Panics
 /// As [`transpose_c2r_seq`].
@@ -578,26 +609,105 @@ mod tests {
     fn incremental_walks_equal_the_closed_form_gathers() {
         for &(m, n) in SHAPES.iter().chain(WALK_SHAPES) {
             let g = C2rGeometry::new(m, n);
-            for q in 0..n {
-                let mut w = RotateWalk::new(&g, q);
-                for i in 0..m {
-                    assert_eq!(w.step(), g.rotate_src_row(i, q), "rotate {m}x{n} q={q} i={i}");
-                }
-                let mut w = ShuffleWalk::new(&g, q);
-                for j_out in 0..m {
-                    assert_eq!(
-                        w.step(),
-                        g.col_shuffle_src_row(j_out, q),
-                        "col-shuffle {m}x{n} col={q} J={j_out}"
-                    );
+            // Every panel width from one column to the widest, on every band.
+            for width in [1, 5, 16, MAX_WIDTH] {
+                for q0 in (0..n).step_by(width) {
+                    let width = width.min(n - q0);
+                    // (panel row, column) that output row `k` of column `w` reads.
+                    let read = |k: usize, off: &[usize], w: usize| {
+                        let at = (k * width).wrapping_add(off[w]);
+                        (at / width, at % width)
+                    };
+                    let mut rows = 0;
+                    RotateWalk::new(m, width, |w| pre_rotate_start(&g, q0 + w)).rows(|k, off| {
+                        assert_eq!(k, rows, "rotate {m}x{n} rows in order");
+                        rows += 1;
+                        for w in 0..width {
+                            let want = (g.rotate_src_row(k, q0 + w), w);
+                            assert_eq!(read(k, off, w), want, "rotate {m}x{n} q={} i={k}", q0 + w);
+                        }
+                    });
+                    assert_eq!(rows, m);
+                    // The column shuffle's rotation, then its row permutation.
+                    let mut rotated = vec![vec![0; width]; m];
+                    RotateWalk::new(m, width, |w| (q0 + w) % m).rows(|k, off| {
+                        for (w, src) in rotated[k].iter_mut().enumerate() {
+                            let (r, col) = read(k, off, w);
+                            assert_eq!(col, w, "col-rotate {m}x{n} stays in its column");
+                            *src = r;
+                        }
+                    });
+                    for j_out in 0..m {
+                        for (w, &src) in rotated[g.row_perm_src(j_out)].iter().enumerate() {
+                            assert_eq!(
+                                src,
+                                g.col_shuffle_src_row(j_out, q0 + w),
+                                "col-shuffle {m}x{n} col={} J={j_out}",
+                                q0 + w
+                            );
+                        }
+                    }
                 }
             }
-            // The row walk is the scatter form: the gather must invert it.
+            // The row pass is the scatter form: the gather must invert it.
+            let e: Vec<usize> = (0..n).map(|q| g.row_scatter_base(q)).collect();
             for i in 0..m {
-                let mut w = RowWalk::new(&g, i);
+                let mut row: Vec<u32> = (0..n as u32).collect();
+                shuffle_row(&mut row, &g, i, 1, &e, &mut Vec::new());
+                for (d, &q) in row.iter().enumerate() {
+                    assert_eq!(g.row_shuffle_src_col(i, d), q as usize, "row {m}x{n} i={i} q={q}");
+                }
+            }
+        }
+    }
+
+    /// `c > 1`, `b > 1` and `N ∤ M`: the rows where the row pass's second
+    /// rotation differs from its first.
+    const SPLIT_SHAPES: &[(usize, usize)] =
+        &[(12, 18), (422, 633), (6, 4), (30, 42), (20, 50), (50, 20), (36, 60)];
+
+    #[test]
+    fn row_scatter_is_one_table_and_a_rotation() {
+        let mut second_rotation_moves = 0;
+        for &(m, n) in SHAPES.iter().chain(WALK_SHAPES).chain(SPLIT_SHAPES) {
+            let g = C2rGeometry::new(m, n);
+            let e: Vec<usize> = (0..n).map(|q| g.row_scatter_base(q)).collect();
+            for i in 0..m {
+                let mut row: Vec<u32> = (0..n as u32).collect();
+                shuffle_row(&mut row, &g, i, 1, &e, &mut Vec::new());
                 for q in 0..n {
-                    let d = w.step();
-                    assert_eq!(g.row_shuffle_src_col(i, d), q, "row {m}x{n} i={i} q={q}");
+                    // The closed-form scatter, d(q) = (q·M + (i − ⌊q/b⌋) mod M) mod N.
+                    let r = (i + m - q / g.b) % m;
+                    let d = (q * m + r) % n;
+                    assert_eq!(row[d] as usize, q, "scatter {m}x{n} i={i} q={q}");
+                    assert_eq!(g.row_shuffle_src_col(i, d), q, "gather {m}x{n} i={i} q={q}");
+                    if q >= (i + 1) * g.b && (i + m) % n != i % n {
+                        second_rotation_moves += 1;
+                    }
+                }
+            }
+        }
+        assert!(second_rotation_moves > 0, "no shape reached the second rotation");
+    }
+
+    #[test]
+    fn column_shuffle_is_a_rotation_then_a_row_permutation() {
+        for &(m, n) in SHAPES.iter().chain(WALK_SHAPES).chain(SPLIT_SHAPES) {
+            let g = C2rGeometry::new(m, n);
+            let p = RowPerm::new(&g);
+            let mut seen = vec![false; m];
+            for j_out in 0..m {
+                let r = g.row_perm_src(j_out);
+                assert!(!seen[r], "p {m}x{n} repeats row {r}");
+                seen[r] = true;
+                assert_eq!(p.src(j_out), r, "factored p {m}x{n} J={j_out}");
+                assert_eq!(p.dest(r), j_out, "p⁻¹ {m}x{n} R={r}");
+                for j in 0..n {
+                    assert_eq!(
+                        g.col_rotate_src_row(r, j),
+                        g.col_shuffle_src_row(j_out, j),
+                        "{m}x{n} J={j_out} j={j}"
+                    );
                 }
             }
         }

@@ -238,6 +238,14 @@ impl<T: Copy> Band<'_, T> {
         // SAFETY: as in `get`.
         unsafe { self.cells.ptr.add(self.at(r, i)).write(v) }
     }
+
+    /// The band's part of row `r`, to write in place.
+    #[inline]
+    pub fn row_mut(&mut self, r: usize) -> &mut [T] {
+        // SAFETY: as in `read_row`; the slice borrows the band mutably, so
+        // no other access through it overlaps the slice while it lives.
+        unsafe { std::slice::from_raw_parts_mut(self.cells.ptr.add(self.at(r, 0)), self.width) }
+    }
 }
 
 #[cfg(test)]

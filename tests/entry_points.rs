@@ -6,7 +6,8 @@
 
 use ipt::core::{decide_scheme, FallbackReason, Matrix, PlanDecision, Scheme, StagePlan};
 use ipt::core::{
-    transpose_c2r_par, transpose_c2r_seq, transpose_in_place_any, transpose_in_place_par,
+    transpose_c2r_par, transpose_c2r_par_elems, transpose_c2r_seq, transpose_c2r_seq_elems,
+    transpose_in_place_any, transpose_in_place_par,
     transpose_in_place_seq, Algorithm, TileConfig, TileHeuristic,
 };
 use ipt::gpu::fleet::{Fleet, FleetConfig};
@@ -26,9 +27,16 @@ use ipt_obs::NoopRecorder;
 fn host_engines_transpose_every_planner_route() {
     let h = TileHeuristic::default();
     // A reduced Table-2 shape (staged, BS tile stage), a prime x prime shape
-    // (C2R, c = 1) and a C2R shape with gcd 521 (no tile; 521² is over the
-    // gcd-tile limit, so the rotate pass runs).
-    let shapes = [(1440, 360, Scheme::Staged), (509, 251, Scheme::C2R), (7 * 521, 521, Scheme::C2R)];
+    // (C2R, c = 1), a C2R shape with gcd 521 (no tile; 521² is over the
+    // gcd-tile limit, so the rotate pass runs) and 211·2 x 211·3 (staged
+    // with a small tile; through C2R, c > 1, b > 1 and N ∤ M, so the row
+    // pass's second rotation moves elements). Every shape also runs C2R.
+    let shapes = [
+        (1440, 360, Scheme::Staged),
+        (509, 251, Scheme::C2R),
+        (7 * 521, 521, Scheme::C2R),
+        (2 * 211, 3 * 211, Scheme::Staged),
+    ];
     for (rows, cols, scheme) in shapes {
         assert_eq!(decide_scheme(rows, cols, &h).scheme, scheme, "{rows}x{cols}");
         let m = Matrix::iota(rows, cols);
@@ -45,6 +53,16 @@ fn host_engines_transpose_every_planner_route() {
         let mut par = m.into_vec();
         transpose_c2r_par(&mut par, rows, cols);
         assert_eq!(par, want.as_slice(), "c2r par {rows}x{cols}");
+        // Two-word elements through the flat-word entry points.
+        let wide = Matrix::from_fn(rows, cols, |i, j| [(i * cols + j) as u32, !(j as u32)]);
+        let want = wide.transposed().into_vec().concat();
+        let flat = wide.into_vec().concat();
+        let mut seq = flat.clone();
+        transpose_c2r_seq_elems(&mut seq, rows, cols, 2);
+        assert_eq!(seq, want, "c2r seq elems {rows}x{cols}");
+        let mut par = flat;
+        transpose_c2r_par_elems(&mut par, rows, cols, 2);
+        assert_eq!(par, want, "c2r par elems {rows}x{cols}");
     }
 }
 
