@@ -21,7 +21,7 @@
 //!   table3        Table 3 / Figure 9 (CPU vs GPU assessment)
 //!   async         §7.6      (Q command queues)
 //!   phi           §7.7      (Xeon Phi)
-//!   primes        extension (coprime decomposition vs prime-dim fallback)
+//!   primes        extension (coprime kernels vs prime-dim fallback; host C2R)
 //!   multigpu      extension (multi-GPU scaling, paper §8 future work)
 //!   ablation      cost-model ablations (which mechanism drives which result)
 //!   serve         extension (batched, plan-cached serving layer: mixed

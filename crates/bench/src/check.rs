@@ -110,8 +110,11 @@ impl CheckOutcome {
 /// # Errors
 ///
 /// Returns a description when the baseline is unparsable, unversioned, has
-/// a mismatched schema version, names a different experiment, or was
-/// generated on different simulated hardware.
+/// a mismatched schema version, names a different experiment, was
+/// generated on different simulated hardware, or is vacuous: its rows hold
+/// no deterministic (`gbps`/`speedup`) and no SLO (`slo_*`) metric, so a
+/// check against it could never fail. Host wall-clock metrics alone do not
+/// count; they gate only when the engine provenance matches.
 pub fn check_report(
     baseline_json: &str,
     fresh: &BenchReport,
@@ -152,6 +155,14 @@ pub fn check_report(
         .get("rows")
         .ok_or_else(|| format!("baseline for {:?} has no rows", fresh.experiment))?;
     let base_metrics = extract_metrics(base_rows);
+    let base_slo = extract_slo_metrics(base_rows);
+    if base_metrics.is_empty() && base_slo.is_empty() {
+        return Err(format!(
+            "baseline for {:?} has no `gbps`/`speedup` or `slo_*` metric in its rows, so \
+             checking it would compare nothing",
+            fresh.experiment
+        ));
+    }
     let mut fresh_metrics = extract_metrics(&fresh.rows);
     if inject_slowdown_pct != 0.0 {
         let factor = 1.0 - inject_slowdown_pct / 100.0;
@@ -190,7 +201,6 @@ pub fn check_report(
     // gate in the opposite direction — lower is better, a *rise* past the
     // tolerance regresses. The slowdown self-test hook accordingly scales
     // them up.
-    let base_slo = extract_slo_metrics(base_rows);
     if !base_slo.is_empty() {
         let mut fresh_slo = extract_slo_metrics(&fresh.rows);
         if inject_slowdown_pct != 0.0 {
@@ -256,6 +266,34 @@ mod tests {
         for r in &out.regressions {
             assert!((r.change - (-0.2)).abs() < 1e-9, "{r}");
         }
+    }
+
+    #[test]
+    fn baseline_without_a_metric_is_refused() {
+        // Rows with nothing the deterministic or SLO channel reads (a host
+        // timing under a non-`wall_` name included) would pass any fresh
+        // run, so the check refuses them.
+        #[derive(Serialize)]
+        struct Bare {
+            rows: usize,
+            cpu_seq: f64,
+            wall_cpu_gbps: f64,
+        }
+        let rows = vec![Bare { rows: 509, cpu_seq: 0.1, wall_cpu_gbps: 1.0 }];
+        let rep = make_report("primes", &DeviceSpec::tesla_k20(), "reduced", &rows);
+        let baseline = serde_json::to_string_pretty(&rep).unwrap();
+        let err = check_report(&baseline, &rep, DEFAULT_TOLERANCE, 0.0).unwrap_err();
+        assert!(err.contains("compare nothing"), "{err}");
+        // An SLO metric alone is enough.
+        #[derive(Serialize)]
+        struct SloOnly {
+            slo_p99_wait_us: f64,
+        }
+        let rows = [SloOnly { slo_p99_wait_us: 120.0 }];
+        let rep = make_report("soak", &DeviceSpec::tesla_k20(), "reduced", &rows);
+        let baseline = serde_json::to_string_pretty(&rep).unwrap();
+        let out = check_report(&baseline, &rep, DEFAULT_TOLERANCE, 0.0).unwrap();
+        assert_eq!((out.metrics_compared, out.slo_compared), (0, 1));
     }
 
     #[test]

@@ -11,6 +11,8 @@ use gpu_sim::DeviceSpec;
 use ipt_core::stages::StagePlan;
 use ipt_gpu::host::{run_host_async, run_host_sync};
 use ipt_gpu::opts::GpuOptions;
+use ipt_gpu::recover::RecoveryPolicy;
+use ipt_obs::NoopRecorder;
 use serde::Serialize;
 
 /// One (size, Q) measurement.
@@ -50,11 +52,13 @@ pub const QS: [usize; 6] = [1, 2, 4, 8, 12, 16];
 #[must_use]
 pub fn run(dev: &DeviceSpec, scale: Scale) -> (Vec<Row>, Summary) {
     let opts = GpuOptions::tuned_for(dev);
+    let policy = RecoveryPolicy::default();
     let mut rows = Vec::new();
     for (r, c) in async_sizes(scale) {
         let tile = super::table2::tile3_for(r, c, Scale::Full);
         let plan = StagePlan::three_stage(r, c, tile).expect("tile divides");
-        let sync = run_host_sync(dev, r, c, &plan, &opts).expect("sync run");
+        let (sync, _) = run_host_sync(dev, r, c, &plan, &opts, &policy, None, &NoopRecorder)
+            .expect("sync run");
         rows.push(Row {
             rows: r,
             cols: c,
@@ -63,7 +67,8 @@ pub fn run(dev: &DeviceSpec, scale: Scale) -> (Vec<Row>, Summary) {
             total_s: sync.total_s,
         });
         for q in QS.into_iter().skip(1) {
-            let rep = run_host_async(dev, r, c, &plan, &opts, q).expect("async run");
+            let (rep, _) =
+                run_host_async(dev, r, c, &plan, &opts, q, &policy, None).expect("async run");
             rows.push(Row {
                 rows: r,
                 cols: c,

@@ -1,8 +1,8 @@
 //! The C2R/R2C decomposition of Catanzaro, Keller & Garland (PPoPP 2014)
 //! — the general-shape rival to the staged algorithm, and the fix for the
-//! paper's own §7.4 limitation. Where [`crate::coprime`] covers only
-//! `gcd(M, N) = 1`, this decomposition is **total**: any row-major `M × N`
-//! matrix transposes in place as three independent line permutations
+//! paper's own §7.4 limitation. The decomposition is **total**: any
+//! row-major `M × N` matrix transposes in place as three independent line
+//! permutations
 //!
 //! 1. **column rotate** — within column `q`, rotate down by `⌊q/b⌋`
 //!    (identity when `c = 1`, so the pass is skipped there),
@@ -43,9 +43,11 @@
 //! `y = (((j − r) mod N)/c · a⁻¹) mod b` (the difference is always
 //! divisible by `c`). Phase 3 gathers output row `J` of column `j` from
 //! row `(t mod M + ⌊(t div M)/b⌋) mod M` with `t = J·N + j`. For
-//! `c = 1` these collapse exactly to the two coprime-phase formulas of
-//! [`crate::coprime`] — the coprime module is the `c = 1` slice of this
-//! one.
+//! `c = 1` these collapse exactly to the two-phase coprime decomposition
+//! (a row scramble, then a column shuffle), whose closed forms
+//! [`phase1_src_col`] and [`phase2_src_row`] drive the coprime device
+//! kernels (`ipt_gpu::coprime`), the rival the `dominance` experiment
+//! measures C2R against.
 //!
 //! ```
 //! use ipt_core::{Matrix, transpose_matrix_c2r};
@@ -175,6 +177,44 @@ impl C2rGeometry {
         let t = j_out as u128 * self.n as u128 + (j_out / self.a) as u128;
         (t % self.m as u128) as usize
     }
+}
+
+/// Coprime phase 1, the row scramble (the row shuffle at `c = 1`), as a
+/// gather: the element that ends in column `q_out` of row `r` comes from
+/// column `(q_out − r)·M⁻¹ mod N`.
+#[inline]
+#[must_use]
+pub fn phase1_src_col(r: usize, q_out: usize, m_rows: usize, n_cols: usize, minv: usize) -> usize {
+    debug_assert!(r < m_rows && q_out < n_cols);
+    let diff = (q_out + n_cols - r % n_cols) % n_cols;
+    (diff * minv) % n_cols
+}
+
+/// Coprime phase 2, the column shuffle at `c = 1`, as a gather: the
+/// element that ends in (final) row `j_out` of column `c` comes from row
+/// `(j_out·N + c) mod M`.
+#[inline]
+#[must_use]
+pub fn phase2_src_row(j_out: usize, c: usize, m_rows: usize, n_cols: usize) -> usize {
+    debug_assert!(c < n_cols);
+    (j_out * n_cols + c) % m_rows
+}
+
+/// The modular inverse `M⁻¹ mod N` [`phase1_src_col`] needs.
+///
+/// # Panics
+/// Panics if `gcd(M, N) != 1`.
+#[must_use]
+pub fn minv_for(m_rows: usize, n_cols: usize) -> usize {
+    mod_inverse(m_rows as u64 % n_cols.max(1) as u64, n_cols as u64)
+        .expect("coprime dimensions required") as usize
+}
+
+/// Is this a `c = 1` shape with both dimensions above 1, the domain of
+/// the coprime closed forms?
+#[must_use]
+pub fn is_coprime_shape(m_rows: usize, n_cols: usize) -> bool {
+    m_rows > 1 && n_cols > 1 && gcd(m_rows as u64, n_cols as u64) == 1
 }
 
 impl C2rGeometry {
@@ -509,7 +549,6 @@ pub fn transpose_matrix_c2r<T: Copy + Send + Sync>(matrix: Matrix<T>) -> Matrix<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coprime::{minv_for, phase1_src_col, phase2_src_row};
     use crate::pool::tests::{iota, Elem};
 
     /// c = 1, c > 1, degenerate, square, prime — the planner's whole range.
@@ -540,6 +579,41 @@ mod tests {
         assert!(g.needs_rotate());
         assert!(!C2rGeometry::new(5, 3).needs_rotate(), "c = 1 rotate is identity");
         assert!(!C2rGeometry::new(1, 6).needs_rotate(), "single row");
+    }
+
+    /// `c = 1` shapes: primes against primes, powers of two and odd
+    /// composites, edges as small as 2, in both orientations.
+    const COPRIME_SHAPES: &[(usize, usize)] = &[
+        (5, 3),
+        (3, 5),
+        (2, 9),
+        (9, 2),
+        (127, 64),
+        (61, 45),
+        (997, 8),
+        (128, 127),
+        (253, 16),
+    ];
+
+    #[test]
+    fn phase_formulas_invert_each_other() {
+        for &(m, n) in &[(5usize, 3usize), (8, 9), (127, 64), (31, 45)] {
+            let minv = minv_for(m, n);
+            for r in 0..m {
+                for q in 0..n {
+                    let q1 = (q * m + r) % n; // scatter form of phase 1
+                    assert_eq!(phase1_src_col(r, q1, m, n, minv), q, "{m}x{n} r={r} q={q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn coprime_shape_guard() {
+        assert!(is_coprime_shape(127, 61));
+        assert!(!is_coprime_shape(6, 4));
+        assert!(!is_coprime_shape(1, 7), "1×n is trivial, not a coprime shape");
+        assert!(COPRIME_SHAPES.iter().all(|&(m, n)| is_coprime_shape(m, n)));
     }
 
     #[test]
@@ -744,7 +818,7 @@ mod tests {
 
     #[test]
     fn seq_transposes_every_shape() {
-        for &(m, n) in SHAPES.iter().chain(WALK_SHAPES) {
+        for &(m, n) in SHAPES.iter().chain(WALK_SHAPES).chain(COPRIME_SHAPES) {
             let mat = Matrix::iota(m, n);
             let mut data = mat.as_slice().to_vec();
             transpose_c2r_seq(&mut data, m, n);
@@ -754,7 +828,7 @@ mod tests {
 
     #[test]
     fn par_matches_seq() {
-        for &(m, n) in SHAPES.iter().chain(WALK_SHAPES) {
+        for &(m, n) in SHAPES.iter().chain(WALK_SHAPES).chain(COPRIME_SHAPES) {
             let mat = Matrix::pattern_f32(m, n);
             let mut a = mat.as_slice().to_vec();
             transpose_c2r_seq(&mut a, m, n);
@@ -764,7 +838,7 @@ mod tests {
         }
         // Panels are 64, 8 and 5 columns wide at these widths.
         fn at_width<T: Elem>() {
-            for &(m, n) in SHAPES.iter().chain(WALK_SHAPES) {
+            for &(m, n) in SHAPES.iter().chain(WALK_SHAPES).chain(COPRIME_SHAPES) {
                 let mut a: Vec<T> = iota(m * n);
                 transpose_c2r_seq(&mut a, m, n);
                 let mut b: Vec<T> = iota(m * n);

@@ -206,37 +206,23 @@ pub struct Band<'a, T> {
 }
 
 impl<T: Copy> Band<'_, T> {
-    /// Offset of column `i` of row `r`; panics outside the band.
+    /// Offset of the band's first column in row `r`; panics outside the
+    /// band.
     #[inline(always)]
-    fn at(&self, r: usize, i: usize) -> usize {
-        assert!(r < self.rows && i < self.width, "({r}, {i}) outside the band");
-        r * self.row_len + self.start + i
-    }
-
-    /// Column `i` of row `r`.
-    #[inline(always)]
-    #[must_use]
-    pub fn get(&self, r: usize, i: usize) -> T {
-        // SAFETY: `bands` checked that the handle covers the whole grid and
-        // the band lies inside its rows, so `at` is in bounds; only this
-        // band's worker touches it.
-        unsafe { self.cells.ptr.add(self.at(r, i)).read() }
+    fn row_at(&self, r: usize) -> usize {
+        assert!(r < self.rows, "row {r} outside the band");
+        r * self.row_len + self.start
     }
 
     /// Append the band's part of row `r` to `out`.
     #[inline]
     pub fn read_row(&self, r: usize, out: &mut Vec<T>) {
-        // SAFETY: as in `get`, for the band's `width` columns of row `r`.
+        // SAFETY: `bands` checked that the handle covers the whole grid and
+        // the band lies inside its rows, so the band's `width` columns of
+        // row `r` are in bounds; only this band's worker touches them.
         out.extend_from_slice(unsafe {
-            std::slice::from_raw_parts(self.cells.ptr.add(self.at(r, 0)), self.width)
+            std::slice::from_raw_parts(self.cells.ptr.add(self.row_at(r)), self.width)
         });
-    }
-
-    /// Overwrite column `i` of row `r`.
-    #[inline(always)]
-    pub fn set(&mut self, r: usize, i: usize, v: T) {
-        // SAFETY: as in `get`.
-        unsafe { self.cells.ptr.add(self.at(r, i)).write(v) }
     }
 
     /// The band's part of row `r`, to write in place.
@@ -244,7 +230,7 @@ impl<T: Copy> Band<'_, T> {
     pub fn row_mut(&mut self, r: usize) -> &mut [T] {
         // SAFETY: as in `read_row`; the slice borrows the band mutably, so
         // no other access through it overlaps the slice while it lives.
-        unsafe { std::slice::from_raw_parts_mut(self.cells.ptr.add(self.at(r, 0)), self.width) }
+        unsafe { std::slice::from_raw_parts_mut(self.cells.ptr.add(self.row_at(r)), self.width) }
     }
 }
 
@@ -301,8 +287,8 @@ pub(crate) mod tests {
             row.clear();
             band.read_row(0, row);
             for r in 0..4 {
-                for (i, &v) in row.iter().enumerate() {
-                    band.set(r, i, v + 100 * b as u32);
+                for (dst, &v) in band.row_mut(r).iter_mut().zip(row.iter()) {
+                    *dst = v + 100 * b as u32;
                 }
             }
         });

@@ -20,10 +20,12 @@
 //!   experiment), the always-legal `(c, c)` gcd sub-tile when
 //!   `1 < c² ≤` [`GCD_TILE_MAX_LEN`] (staged degradation), and the C2R
 //!   decomposition again — never the single-stage whole-matrix chase — when
-//!   the gcd tile is oversized. [`Scheme::Coprime`] and
-//!   [`Scheme::SingleStage`] remain addressable as explicit rival schemes
-//!   (benchmarks, snapshots), but [`decide_scheme`] no longer routes any
-//!   infeasible-tile shape to them.
+//!   the gcd tile is oversized.
+//!
+//! [`Scheme`] names exactly what [`decide_scheme`] can emit. The coprime
+//! kernels and the single-stage plan stay measurable as rivals (the
+//! `dominance` experiment builds them directly), but no planner decision
+//! can name them.
 
 use crate::numtheory::gcd;
 use crate::stages::{StagePlan, TileConfig};
@@ -48,19 +50,12 @@ pub enum Scheme {
     Staged,
     /// Staged algorithm with the always-legal `(c, c)` tile, `c = gcd`.
     GcdTiled,
-    /// Coprime dimensions: the two-phase row-scramble/column-shuffle
-    /// decomposition (after Catanzaro et al.). Kept as an explicit rival
-    /// scheme; the planner now prefers [`Scheme::C2R`], which generalizes
-    /// it to every shape.
-    Coprime,
     /// The full C2R/R2C decomposition (Catanzaro, Keller & Garland, PPoPP
     /// 2014): column rotate → row shuffle → column shuffle. Total over all
     /// shapes, no claim flags, no atomics, perfect load balance — the
     /// planner's choice for every infeasible-tile shape that the gcd tile
     /// cannot cover.
     C2R,
-    /// Conservative whole-matrix cycle-following pass.
-    SingleStage,
 }
 
 impl Scheme {
@@ -72,9 +67,7 @@ impl Scheme {
             Self::SquareTiled => "square-tiled",
             Self::Staged => "staged",
             Self::GcdTiled => "gcd-tiled",
-            Self::Coprime => "coprime",
             Self::C2R => "c2r",
-            Self::SingleStage => "single-stage",
         }
     }
 
@@ -87,9 +80,7 @@ impl Scheme {
             "square-tiled" => Some(Self::SquareTiled),
             "staged" => Some(Self::Staged),
             "gcd-tiled" => Some(Self::GcdTiled),
-            "coprime" => Some(Self::Coprime),
             "c2r" => Some(Self::C2R),
-            "single-stage" => Some(Self::SingleStage),
             _ => None,
         }
     }
@@ -159,13 +150,12 @@ pub struct PlanDecision {
 impl PlanDecision {
     /// The staged plan realising this decision, or `None` for schemes that
     /// execute outside the staged machinery ([`Scheme::Identity`],
-    /// [`Scheme::Coprime`], [`Scheme::C2R`]). Never panics: a square or
-    /// tiled scheme whose tile is unavailable degrades to the single-stage
-    /// plan.
+    /// [`Scheme::C2R`]). Never panics: a square or tiled scheme whose tile
+    /// is unavailable degrades to the single-stage plan.
     #[must_use]
     pub fn staged_plan(&self, rows: usize, cols: usize) -> Option<StagePlan> {
         match self.scheme {
-            Scheme::Identity | Scheme::Coprime | Scheme::C2R => None,
+            Scheme::Identity | Scheme::C2R => None,
             Scheme::Staged | Scheme::GcdTiled | Scheme::SquareTiled => match self.tile {
                 Some(t) => Some(
                     StagePlan::three_stage(rows, cols, t)
@@ -173,7 +163,6 @@ impl PlanDecision {
                 ),
                 None => Some(StagePlan::single_stage(rows, cols)),
             },
-            Scheme::SingleStage => Some(StagePlan::single_stage(rows, cols)),
         }
     }
 }
@@ -348,11 +337,11 @@ mod tests {
     }
 
     #[test]
-    fn no_infeasible_tile_shape_resolves_to_coprime_or_single_stage() {
+    fn infeasible_tile_shapes_resolve_to_c2r_or_the_gcd_tile() {
         // Regression for the prime-shape slow path: sweep shapes on both
-        // sides of the gcd split and assert the NoFeasibleTile branch never
-        // lands on the coprime cycle-following route or the single-stage
-        // chase anymore.
+        // sides of the gcd split and assert the NoFeasibleTile branch lands
+        // on C2R (gcd = 1) or the staged gcd tile (gcd > 1), never the
+        // single-stage chase a square shape without a tile degrades to.
         let h = TileHeuristic::default();
         for (r, c) in [
             (7919usize, 104_729usize), // gcd 1, both prime
@@ -364,8 +353,9 @@ mod tests {
             if !matches!(d.reason, FallbackReason::NoFeasibleTile { .. }) {
                 continue; // heuristic found a tile; nothing to regress
             }
-            assert_ne!(d.scheme, Scheme::Coprime, "{r}x{c} took the slow coprime path");
-            assert_ne!(d.scheme, Scheme::SingleStage, "{r}x{c} took the single-stage chase");
+            let want = if gcd(r as u64, c as u64) == 1 { Scheme::C2R } else { Scheme::GcdTiled };
+            assert_eq!(d.scheme, want, "{r}x{c}");
+            assert!(d.staged_plan(r, c).is_none_or(|p| p.name != "single-stage"), "{r}x{c}");
         }
     }
 
@@ -436,19 +426,13 @@ mod tests {
         assert_eq!(Scheme::SquareTiled.name(), "square-tiled");
         assert_eq!(Scheme::Staged.name(), "staged");
         assert_eq!(Scheme::GcdTiled.name(), "gcd-tiled");
-        assert_eq!(Scheme::Coprime.name(), "coprime");
         assert_eq!(Scheme::C2R.name(), "c2r");
-        assert_eq!(Scheme::SingleStage.name(), "single-stage");
-        for s in [
-            Scheme::Identity,
-            Scheme::SquareTiled,
-            Scheme::Staged,
-            Scheme::GcdTiled,
-            Scheme::Coprime,
-            Scheme::C2R,
-            Scheme::SingleStage,
-        ] {
+        use Scheme::{GcdTiled, Identity, SquareTiled, Staged, C2R};
+        for s in [Identity, SquareTiled, Staged, GcdTiled, C2R] {
             assert_eq!(Scheme::by_name(s.name()), Some(s), "{} round-trips", s.name());
         }
+        // The rivals the planner cannot emit have no scheme name.
+        assert_eq!(Scheme::by_name("coprime"), None);
+        assert_eq!(Scheme::by_name("single-stage"), None);
     }
 }

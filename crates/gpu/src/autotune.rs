@@ -109,7 +109,8 @@ fn measure_candidates<R: Recorder>(
 ///
 /// Returns `None` for infeasible configurations (e.g. stage-2 tile that
 /// fits neither local memory nor local flags and whose 100!-fallback cannot
-/// launch).
+/// launch) and for a run whose result does not verify, so such a tile is
+/// never chosen.
 #[must_use]
 pub fn measure_tile(
     dev: &DeviceSpec,

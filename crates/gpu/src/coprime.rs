@@ -1,6 +1,9 @@
 //! Device kernels for the coprime (general-dimension) decomposition —
 //! the extension the paper's footnote 6 points at (Catanzaro et al.,
-//! PPoPP 2014 [25]); see `ipt_core::coprime` for the mathematics.
+//! PPoPP 2014 [25]). It is the `c = 1` slice of the C2R decomposition;
+//! its closed forms live next to `ipt_core::c2r::C2rGeometry`. The planner
+//! never picks these kernels: they stay as the measured rival that the
+//! batched [`crate::c2r`] kernels beat (the `dominance` experiment).
 //!
 //! * [`CoprimeRowScramble`] — phase 1: one work-group per matrix row; the
 //!   row is staged through local memory, permuted by
@@ -14,7 +17,7 @@
 //!   experiment).
 
 use gpu_sim::{Buffer, Coordination, Grid, Kernel, LaneAddrs, LaneWrites, Step, WarpCtx};
-use ipt_core::coprime::{minv_for, phase1_src_col, phase2_src_row};
+use ipt_core::c2r::{is_coprime_shape, minv_for, phase1_src_col, phase2_src_row};
 
 /// Phase-1 kernel: row scramble.
 #[derive(Debug, Clone)]
@@ -28,14 +31,14 @@ pub struct CoprimeRowScramble {
     /// Work-items per work-group.
     pub wg_size: usize,
     /// `M⁻¹ mod N`, precomputed once at construction — the single
-    /// `ipt_core::coprime::minv_for` call for the whole launch (a real
+    /// `ipt_core::c2r::minv_for` call for the whole launch (a real
     /// kernel receives it as a launch parameter, not per-thread work).
     minv: usize,
 }
 
 impl CoprimeRowScramble {
     /// Build the kernel, precomputing the modular inverse from
-    /// `ipt_core::coprime` — the one source of truth for the mathematics.
+    /// `ipt_core::c2r` — the one source of truth for the mathematics.
     ///
     /// # Panics
     /// Panics if `rows` and `cols` are not coprime.
@@ -272,7 +275,7 @@ pub fn transpose_coprime_on_device(
     cols: usize,
     wg_size: usize,
 ) -> Result<gpu_sim::PipelineStats, gpu_sim::LaunchError> {
-    assert!(ipt_core::coprime::is_coprime_shape(rows, cols), "coprime dimensions required");
+    assert!(is_coprime_shape(rows, cols), "coprime dimensions required");
     let noop = &ipt_obs::NoopRecorder;
     let s1 = sim.launch(&CoprimeRowScramble::new(data, rows, cols, wg_size), noop, 0.0)?;
     let s2 = sim.launch(&CoprimeColShuffle { data, rows, cols, wg_size }, noop, 0.0)?;

@@ -12,7 +12,7 @@
 //!   command queue, so chunk kernels overlap other chunks' D2H transfers.
 
 use crate::opts::GpuOptions;
-use crate::pipeline::{plan_flag_words, run_plan, transpose_on_device};
+use crate::pipeline::{plan_flag_words, run_plan};
 use crate::recover::{
     transpose_with_recovery, verify_exact_elems, RecoveryPolicy, RecoveryReport, TransposeError,
 };
@@ -99,28 +99,6 @@ fn sync_queue(
     lower(dev, &[q])
 }
 
-/// Synchronous scheme: one queue, full H2D, all stages, full D2H.
-///
-/// Functionally executes and verifies the transposition on a fresh
-/// simulator.
-///
-/// # Errors
-/// Propagates infeasible kernel launches and malformed schedules.
-pub fn run_host_sync(
-    dev: &DeviceSpec,
-    rows: usize,
-    cols: usize,
-    plan: &StagePlan,
-    opts: &GpuOptions,
-) -> Result<HostReport, TransposeError> {
-    let mut sim = Sim::new(dev.clone(), rows * cols + plan_flag_words(plan) + 64);
-    let mut data = Matrix::iota(rows, cols).into_vec();
-    let stats = transpose_on_device(&mut sim, &mut data, rows, cols, plan, opts)?;
-    let bytes = matrix_bytes(rows, cols);
-    let timeline = simulate(&Des::device(dev, &sync_queue(dev, bytes, &stats, 0.0)))?;
-    Ok(HostReport::new(timeline, bytes, stats, 1))
-}
-
 /// Split `total_instances` into at most `q` chunks along the leading
 /// instances: `(first_instance, count)` per chunk, the last taking the
 /// remainder.
@@ -136,73 +114,29 @@ fn chunk_ranges(total_instances: usize, q: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Asynchronous scheme with `q` command queues (§7.6). Only valid for the
-/// 3-stage plan (`100! → 0010! → 0100!`): stages 2 and 3 are chunked along
-/// `N′` and overlapped with the D2H transfer.
-///
-/// # Errors
-/// [`TransposeError::InvalidConfig`] for `q == 0` or a non-3-stage plan;
-/// [`TransposeError::Launch`] for infeasible kernel launches;
-/// [`TransposeError::Verify`] if the chunked execution produces an
-/// incorrect transposition.
-pub fn run_host_async(
-    dev: &DeviceSpec,
-    rows: usize,
-    cols: usize,
-    plan: &StagePlan,
-    opts: &GpuOptions,
-    q: usize,
-) -> Result<HostReport, TransposeError> {
-    run_host_async_attempt(dev, rows, cols, plan, opts, q, None).0
-}
-
-/// One attempt at the asynchronous scheme, with an optional fault plan
-/// armed on the internal simulator. Returns the (possibly consumed) fault
-/// plan so a coarse-grained retry can carry it forward.
-pub(crate) fn run_host_async_attempt(
-    dev: &DeviceSpec,
-    rows: usize,
-    cols: usize,
-    plan: &StagePlan,
-    opts: &GpuOptions,
-    q: usize,
-    fault: Option<FaultPlan>,
-) -> (Result<HostReport, TransposeError>, Option<FaultPlan>) {
+/// The three instanced ops of the 3-stage plan the asynchronous scheme
+/// chunks, after checking the configuration it needs.
+fn async_ops(plan: &StagePlan, q: usize) -> Result<Vec<InstancedTranspose>, TransposeError> {
+    let invalid = |what: String| Err(TransposeError::InvalidConfig { what });
     if q == 0 {
-        let e = TransposeError::InvalidConfig {
-            what: "asynchronous scheme needs at least one command queue (q >= 1)".into(),
-        };
-        return (Err(e), fault);
+        return invalid("asynchronous scheme needs at least one command queue (q >= 1)".into());
     }
     if plan.name != "3-stage" {
-        let e = TransposeError::InvalidConfig {
-            what: format!("asynchronous scheme requires the 3-stage plan, got `{}`", plan.name),
-        };
-        return (Err(e), fault);
+        return invalid(format!(
+            "asynchronous scheme requires the 3-stage plan, got `{}`",
+            plan.name
+        ));
     }
-    // Pull the three ops out of the plan.
     let mut ops = Vec::with_capacity(plan.stages.len());
     for s in &plan.stages {
         match &s.op {
             StageOp::Instanced(op) => ops.push(*op),
             StageOp::Fused(_) => {
-                let e = TransposeError::InvalidConfig {
-                    what: "3-stage plan unexpectedly contains a fused stage".into(),
-                };
-                return (Err(e), fault);
+                return invalid("3-stage plan unexpectedly contains a fused stage".into())
             }
         }
     }
-
-    let mut sim = Sim::new(dev.clone(), rows * cols + plan_flag_words(plan) + 64);
-    if let Some(f) = fault {
-        sim.set_fault_plan(f);
-    }
-    let data = sim.alloc(rows * cols);
-    let flags = sim.alloc(plan_flag_words(plan).max(1));
-    let res = run_host_async_body(&sim, data, flags, dev, rows, cols, plan, &ops, opts, q);
-    let fault = sim.take_fault_plan();
-    (res, fault)
+    Ok(ops)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -380,19 +314,22 @@ pub(crate) fn record_transfer_fault<R: Recorder>(rec: &R, scope: &str, err: &Que
     }
 }
 
-/// Synchronous host scheme with verified recovery: the device-side
-/// transposition runs through [`transpose_with_recovery`] (per-stage
-/// validation, fallback chain) and the PCIe timeline resubmits failed
-/// transfers. An optional [`FaultPlan`] is armed on the internal
-/// simulator — the test harness's injection point. Injected transfer
-/// faults are routed through `rec` as typed events plus the
-/// `TransferFaultsInjected` counter.
+/// Synchronous scheme (Figure 4): one queue, full H2D, all stages, full
+/// D2H, functionally executed and verified on a fresh simulator.
+///
+/// The device-side transposition runs through [`transpose_with_recovery`]
+/// (per-stage validation, fallback chain) and the PCIe timeline resubmits
+/// failed transfers. With no fault and the default policy that path
+/// records exactly the stages [`crate::pipeline::run_plan`] would. An
+/// optional [`FaultPlan`] is armed on the internal simulator — the test
+/// harness's injection point. Injected transfer faults are routed through
+/// `rec` as typed events plus the `TransferFaultsInjected` counter.
 ///
 /// # Errors
 /// Only configuration errors when fallback is allowed; any
 /// [`TransposeError`] otherwise. Never panics.
 #[allow(clippy::too_many_arguments)]
-pub fn run_host_sync_recovering<R: Recorder>(
+pub fn run_host_sync<R: Recorder>(
     dev: &DeviceSpec,
     rows: usize,
     cols: usize,
@@ -419,19 +356,23 @@ pub fn run_host_sync_recovering<R: Recorder>(
     Ok((HostReport::new(timeline, bytes, stats, 1), report))
 }
 
-/// Asynchronous host scheme with coarse-grained recovery. The chunked
-/// scheme interleaves kernels and transfers too tightly for per-stage
-/// snapshots, so recovery is whole-scheme: retry the full asynchronous
-/// execution (injected faults are single-shot, so a retry runs clean),
-/// and when the retry budget is spent, degrade to the synchronous
-/// recovering scheme — whose own chain bottoms out at the host-sequential
+/// Asynchronous scheme with `q` command queues (§7.6). Only valid for the
+/// 3-stage plan (`100! → 0010! → 0100!`): stages 2 and 3 are chunked along
+/// `N′` and overlapped with the D2H transfer.
+///
+/// The chunked scheme interleaves kernels and transfers too tightly for
+/// per-stage snapshots, so recovery is whole-scheme: retry the full
+/// asynchronous execution (injected faults are single-shot, so a retry
+/// runs clean), and when the retry budget is spent, degrade to
+/// [`run_host_sync`] — whose own chain bottoms out at the host-sequential
 /// path and cannot fail.
 ///
 /// # Errors
-/// Configuration errors immediately (retrying cannot fix them); otherwise
-/// only what [`run_host_sync_recovering`] can return. Never panics.
+/// [`TransposeError::InvalidConfig`] immediately for `q == 0` or a
+/// non-3-stage plan (retrying cannot fix them); otherwise only what
+/// [`run_host_sync`] can return. Never panics.
 #[allow(clippy::too_many_arguments)]
-pub fn run_host_async_recovering(
+pub fn run_host_async(
     dev: &DeviceSpec,
     rows: usize,
     cols: usize,
@@ -441,26 +382,28 @@ pub fn run_host_async_recovering(
     policy: &RecoveryPolicy,
     fault: Option<FaultPlan>,
 ) -> Result<(HostReport, RecoveryReport), TransposeError> {
+    let ops = async_ops(plan, q)?;
     let mut report = RecoveryReport::new(crate::recover::RecoveryPath::Primary);
     let mut fault = fault;
     let mut last_err: Option<TransposeError> = None;
     for attempt in 0..=policy.max_stage_retries {
-        let (res, fp) = run_host_async_attempt(dev, rows, cols, plan, opts, q, fault.take());
-        if let Some(f) = &fp {
+        let mut sim = Sim::new(dev.clone(), rows * cols + plan_flag_words(plan) + 64);
+        if let Some(f) = fault.take() {
+            sim.set_fault_plan(f);
+        }
+        let data = sim.alloc(rows * cols);
+        let flags = sim.alloc(plan_flag_words(plan).max(1));
+        let res = run_host_async_body(&sim, data, flags, dev, rows, cols, plan, &ops, opts, q);
+        // Carry the (possibly consumed) fault plan into the next attempt.
+        fault = sim.take_fault_plan();
+        if let Some(f) = &fault {
             report.faults = f.records();
         }
-        fault = fp;
         match res {
             Ok(rep) => {
                 report.scheme_retries = attempt;
-                if report.primary_error.is_none() {
-                    report.primary_error = last_err.map(|e| e.to_string());
-                }
+                report.primary_error = last_err.map(|e| e.to_string());
                 return Ok((rep, report));
-            }
-            // Deterministic configuration problems: fail fast.
-            Err(e @ (TransposeError::InvalidConfig { .. } | TransposeError::Plan(_))) => {
-                return Err(e);
             }
             Err(e) => {
                 report.penalty_s += policy.backoff_s(attempt);
@@ -472,7 +415,7 @@ pub fn run_host_async_recovering(
     report.primary_error = last_err.map(|e| e.to_string());
     let async_attempts = policy.max_stage_retries + 1;
     let (rep, mut merged) =
-        run_host_sync_recovering(dev, rows, cols, plan, opts, policy, fault, &NoopRecorder)?;
+        run_host_sync(dev, rows, cols, plan, opts, policy, fault, &NoopRecorder)?;
     merged.scheme_retries += async_attempts;
     merged.penalty_s += report.penalty_s;
     // The fault plan (and its record log) was carried into the sync run,
@@ -489,6 +432,7 @@ pub fn run_host_async_recovering(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::transpose_on_device;
     use ipt_core::stages::TileConfig;
     use ipt_core::TileHeuristic;
 
@@ -503,12 +447,29 @@ mod tests {
             .unwrap()
     }
 
+    /// The fault-free synchronous scheme under the default policy.
+    fn sync(dev: &DeviceSpec, plan: &StagePlan, opts: &GpuOptions) -> HostReport {
+        let policy = RecoveryPolicy::default();
+        let (rep, report) =
+            run_host_sync(dev, ROWS, COLS, plan, opts, &policy, None, &NoopRecorder).unwrap();
+        assert!(report.clean(), "{report:?}");
+        rep
+    }
+
+    /// The fault-free asynchronous scheme on `q` queues.
+    fn asy(dev: &DeviceSpec, plan: &StagePlan, opts: &GpuOptions, q: usize) -> HostReport {
+        let policy = RecoveryPolicy::default();
+        let (rep, report) = run_host_async(dev, ROWS, COLS, plan, opts, q, &policy, None).unwrap();
+        assert!(report.clean(), "{report:?}");
+        rep
+    }
+
     #[test]
     fn sync_scheme_runs_and_verifies() {
         let dev = DeviceSpec::tesla_k20();
         let plan = StagePlan::three_stage(ROWS, COLS, tile()).unwrap();
         let opts = GpuOptions::tuned_for(&dev);
-        let rep = run_host_sync(&dev, ROWS, COLS, &plan, &opts).unwrap();
+        let rep = sync(&dev, &plan, &opts);
         assert!(rep.total_s > 0.0);
         assert!(rep.effective_gbps > 0.0);
         // Transfers dominate for this size: effective < device-side.
@@ -517,12 +478,30 @@ mod tests {
     }
 
     #[test]
+    fn sync_scheme_records_the_unvalidated_stages() {
+        // Validation only reads the data: the kernels it records are the
+        // plain pipeline's, bit for bit, so Table 3's figure does not move.
+        let dev = DeviceSpec::tesla_k20();
+        let plan = StagePlan::three_stage(ROWS, COLS, tile()).unwrap();
+        let opts = GpuOptions::tuned_for(&dev);
+        let mut sim = Sim::new(dev.clone(), ROWS * COLS + plan_flag_words(&plan) + 64);
+        let mut data = Matrix::iota(ROWS, COLS).into_vec();
+        let plain = transpose_on_device(&mut sim, &mut data, ROWS, COLS, &plan, &opts).unwrap();
+        let rep = sync(&dev, &plan, &opts);
+        let times = |p: &PipelineStats| -> Vec<u64> {
+            p.stages.iter().map(|s| s.time_s.to_bits()).collect()
+        };
+        assert_eq!(times(&rep.kernels), times(&plain));
+        assert_eq!(rep.kernels.overhead_s.to_bits(), plain.overhead_s.to_bits());
+    }
+
+    #[test]
     fn async_beats_sync_for_moderate_q() {
         let dev = DeviceSpec::tesla_k20();
         let plan = StagePlan::three_stage(ROWS, COLS, tile()).unwrap();
         let opts = GpuOptions::tuned_for(&dev);
-        let sync = run_host_sync(&dev, ROWS, COLS, &plan, &opts).unwrap();
-        let asy = run_host_async(&dev, ROWS, COLS, &plan, &opts, 4).unwrap();
+        let sync = sync(&dev, &plan, &opts);
+        let asy = asy(&dev, &plan, &opts, 4);
         assert!(
             asy.total_s < sync.total_s,
             "async {} vs sync {}",
@@ -536,9 +515,22 @@ mod tests {
         let dev = DeviceSpec::tesla_k20();
         let plan = StagePlan::three_stage(ROWS, COLS, tile()).unwrap();
         let opts = GpuOptions::tuned_for(&dev);
-        let q4 = run_host_async(&dev, ROWS, COLS, &plan, &opts, 4).unwrap();
-        let q64 = run_host_async(&dev, ROWS, COLS, &plan, &opts, 64).unwrap();
+        let q4 = asy(&dev, &plan, &opts, 4);
+        let q64 = asy(&dev, &plan, &opts, 64);
         assert!(q64.total_s > q4.total_s, "q64 {} vs q4 {}", q64.total_s, q4.total_s);
+    }
+
+    #[test]
+    fn async_config_errors_fail_fast() {
+        let dev = DeviceSpec::tesla_k20();
+        let opts = GpuOptions::tuned_for(&dev);
+        let policy = RecoveryPolicy::default();
+        let three = StagePlan::three_stage(ROWS, COLS, tile()).unwrap();
+        let single = StagePlan::single_stage(ROWS, COLS);
+        for (plan, q) in [(&three, 0), (&single, 4)] {
+            let err = run_host_async(&dev, ROWS, COLS, plan, &opts, q, &policy, None).unwrap_err();
+            assert!(matches!(err, TransposeError::InvalidConfig { .. }), "{err}");
+        }
     }
 
     #[test]
@@ -548,7 +540,7 @@ mod tests {
         let plan = StagePlan::three_stage(ROWS, COLS, tile()).unwrap();
         let opts = GpuOptions::tuned_for(&dev);
         let oop = run_host_oop(&dev, ROWS, COLS).unwrap();
-        let ip = run_host_sync(&dev, ROWS, COLS, &plan, &opts).unwrap();
+        let ip = sync(&dev, &plan, &opts);
         let ratio = oop.effective_gbps / ip.effective_gbps;
         assert!((0.8..1.6).contains(&ratio), "ratio {ratio}");
     }

@@ -18,8 +18,9 @@
 //! * [`host`] — the §6 virtual in-place transposition (synchronous and
 //!   asynchronous with Q command queues),
 //! * [`autotune`] — §7.4 exhaustive / pruned tile search,
-//! * [`coprime`] — the general-dimension (prime-safe) decomposition the
-//!   paper's footnote 6 points at,
+//! * [`c2r`] — the C2R decomposition (Catanzaro, Keller & Garland) the
+//!   paper's footnote 6 points at, total over every shape, and
+//!   [`coprime`] — its unbatched `c = 1` kernels, kept as a measured rival,
 //! * [`multi`] — the multi-GPU scheme of the paper's future-work section,
 //! * [`serve`] — a batched, plan-cached serving layer over all of the
 //!   above (deadline-ordered bounded admission, same-shape coalescing,
@@ -60,10 +61,7 @@ pub use explore::{
     explore_case, pct_sweep, run_race_case, tiny_device, BrokenPttwac010, RaceTarget,
     SweepFailure, SweepOutcome,
 };
-pub use host::{
-    run_host_async, run_host_async_recovering, run_host_oop, run_host_sync,
-    run_host_sync_recovering, HostReport,
-};
+pub use host::{run_host_async, run_host_oop, run_host_sync, HostReport};
 pub use multi::{run_multi_gpu, LinkTopology, MultiReport};
 pub use oop::OopTranspose;
 pub use opts::{ClaimBackoff, FlagLayout, GpuOptions, Variant100};

@@ -16,6 +16,7 @@ use crate::bs::BsKernel;
 use crate::opts::{GpuOptions, Variant100};
 use crate::pttwac010::Pttwac010;
 use crate::pttwac100::Pttwac100;
+use crate::recover::{verify_exact_elems, TransposeError};
 use gpu_sim::{Buffer, KernelStats, LaunchError, PipelineStats, Sim};
 use ipt_core::stages::{Stage, StageOp, StagePlan};
 use ipt_core::{InstancedTranspose, TransposePerm};
@@ -431,11 +432,11 @@ fn run_fused_fixed_tiles<R: Recorder>(
 /// transposition of `data` (row-major `rows × cols`) on a fresh simulator.
 ///
 /// # Errors
-/// Propagates infeasible launches.
-///
-/// # Panics
-/// Panics if the simulated kernels produce an incorrect transposition —
-/// functional correctness is non-negotiable in this workspace.
+/// [`TransposeError::InvalidConfig`] when `host_data` is not `rows × cols`
+/// words, [`TransposeError::Launch`] (or `Stalled`) for a failed launch,
+/// and [`TransposeError::Verify`] when the device result is not the
+/// transposition — functional correctness is non-negotiable in this
+/// workspace.
 pub fn transpose_on_device(
     sim: &mut Sim,
     host_data: &mut Vec<u32>,
@@ -443,7 +444,7 @@ pub fn transpose_on_device(
     cols: usize,
     plan: &StagePlan,
     opts: &GpuOptions,
-) -> Result<PipelineStats, LaunchError> {
+) -> Result<PipelineStats, TransposeError> {
     transpose_on_device_rec(sim, host_data, rows, cols, plan, opts, &NoopRecorder, 0.0)
 }
 
@@ -451,10 +452,7 @@ pub fn transpose_on_device(
 /// [`run_plan`] emits plus the host↔device traffic meters.
 ///
 /// # Errors
-/// Propagates infeasible launches.
-///
-/// # Panics
-/// Panics on an incorrect transposition, like [`transpose_on_device`].
+/// As [`transpose_on_device`].
 #[allow(clippy::too_many_arguments)]
 pub fn transpose_on_device_rec<R: Recorder>(
     sim: &mut Sim,
@@ -465,24 +463,19 @@ pub fn transpose_on_device_rec<R: Recorder>(
     opts: &GpuOptions,
     rec: &R,
     t0_s: f64,
-) -> Result<PipelineStats, LaunchError> {
-    assert_eq!(host_data.len(), rows * cols);
+) -> Result<PipelineStats, TransposeError> {
+    if rows.checked_mul(cols) != Some(host_data.len()) {
+        return Err(TransposeError::InvalidConfig {
+            what: format!("host data has {} words, not {rows}×{cols}", host_data.len()),
+        });
+    }
     let data = sim.alloc(rows * cols);
     let flags = sim.alloc(plan_flag_words(plan).max(1));
     sim.upload_u32(data, host_data);
     let stats = run_plan(sim, data, flags, plan, opts, rec, t0_s)?;
     let result = sim.download_u32(data);
     sim.record_traffic(rec, "sim");
-    // Verify against the definitional permutation.
-    let perm = TransposePerm::new(rows, cols);
-    for (k, &v) in host_data.iter().enumerate() {
-        let d = perm.dest(k);
-        assert_eq!(
-            result[d], v,
-            "device transposition incorrect at source offset {k} (plan {})",
-            plan.name
-        );
-    }
+    verify_exact_elems(host_data, &result, rows, cols, 1)?;
     *host_data = result;
     Ok(stats)
 }
@@ -553,8 +546,7 @@ mod tests {
     ) -> PipelineStats {
         let mut sim = Sim::new(dev, rows * cols + plan_flag_words(plan) + 64);
         let mut data = Matrix::iota(rows, cols).into_vec();
-        transpose_on_device(&mut sim, &mut data, rows, cols, plan, opts).expect("launch")
-        // transpose_on_device panics on functional mismatch.
+        transpose_on_device(&mut sim, &mut data, rows, cols, plan, opts).expect("verified run")
     }
 
     #[test]
@@ -588,6 +580,30 @@ mod tests {
         ] {
             let _ = run_full(DeviceSpec::tesla_k20(), rows, cols, &plan, &opts);
         }
+    }
+
+    #[test]
+    fn wrong_results_and_bad_lengths_are_typed_errors() {
+        // A scratchpad word corrupted inside the stage-2 BS tile (stage 1
+        // takes 1722 warp steps) lands in the output: the run must return
+        // `Verify`, not panic.
+        use gpu_sim::{FaultKind, FaultPlan};
+        let (rows, cols) = (72, 60);
+        let dev = DeviceSpec::tesla_k20();
+        let opts = GpuOptions::tuned_for(&dev);
+        let plan = StagePlan::three_stage(rows, cols, TileConfig::new(12, 10)).unwrap();
+        let mut sim = Sim::new(dev.clone(), rows * cols + plan_flag_words(&plan) + 64);
+        sim.set_fault_plan(FaultPlan::exact(7, FaultKind::CorruptLocalWord, 1729, 11));
+        let mut data = Matrix::iota(rows, cols).into_vec();
+        let err = transpose_on_device(&mut sim, &mut data, rows, cols, &plan, &opts).unwrap_err();
+        assert!(matches!(err, TransposeError::Verify(_)), "{err}");
+        let fired = sim.take_fault_plan().unwrap().records();
+        assert!(fired.len() == 1 && fired[0].site.starts_with("BS "), "{fired:?}");
+        assert_eq!(data, Matrix::iota(rows, cols).into_vec(), "a failed run leaves the input");
+        let mut sim = Sim::new(dev, rows * cols + plan_flag_words(&plan) + 64);
+        let mut short = vec![0u32; rows * cols - 1];
+        let err = transpose_on_device(&mut sim, &mut short, rows, cols, &plan, &opts).unwrap_err();
+        assert!(matches!(err, TransposeError::InvalidConfig { .. }), "{err}");
     }
 
     /// Transpose `f64` data as 2-word elements through the plan front door

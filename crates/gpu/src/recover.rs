@@ -511,33 +511,25 @@ enum Request<'a> {
     Decision(&'a PlanDecision),
 }
 
-/// A word-granular device pipeline: `(sim, data, rows, cols, wg_size)`.
-type KernelFn = fn(&mut Sim, Buffer, usize, usize, usize) -> Result<PipelineStats, LaunchError>;
-
 /// The scheme's device attempts, ahead of the chain's shared fallbacks.
 #[derive(Clone, Copy)]
 enum Device<'a> {
     /// A (word-scaled) stage plan under per-stage validation: requested
     /// options first, then [`GpuOptions::baseline_for`].
     Staged(&'a StagePlan),
-    /// One kernel pipeline (C2R or coprime), span-silent.
-    Kernels {
-        /// Scheme name for error messages.
-        name: &'static str,
-        /// The pipeline.
-        run: KernelFn,
-    },
+    /// The C2R kernel pipeline, span-silent.
+    C2r,
 }
 
 /// The recovery chain behind both front doors.
 ///
 /// 1. **Validate** the inputs once: element width, address-space overflow,
 ///    payload length, then (except for the identity scheme) nonzero
-///    dimensions, the plan's shape and the coprime gcd guard.
+///    dimensions and the plan's shape.
 /// 2. **Device attempts**, each finished by an element-exact check: a
 ///    staged plan runs with the requested options, then from the restored
-///    input with conservative options (a fresh retry budget); C2R and
-///    coprime run their kernels, which only move word-sized elements.
+///    input with conservative options (a fresh retry budget); C2R runs its
+///    kernels, which only move word-sized elements.
 /// 3. **Out-of-place** kernel, if the device can hold a second copy
 ///    (allocation failure is just the signal to keep degrading). It moves
 ///    single words, so it only applies to word-sized elements.
@@ -598,26 +590,10 @@ fn recover<R: Recorder>(
             Device::Staged(plan)
         }
         Request::Decision(d) => match d.scheme {
-            Scheme::Coprime => {
-                if !ipt_core::coprime::is_coprime_shape(rows, cols) {
-                    return invalid(format!(
-                        "decision says coprime but gcd({rows}, {cols}) ≠ 1 — stale decision?"
-                    ));
-                }
-                Device::Kernels {
-                    name: "coprime",
-                    run: |sim, data, rows, cols, wg| {
-                        crate::coprime::transpose_coprime_on_device(sim, data, rows, cols, wg)
-                    },
-                }
-            }
             // C2R/R2C decomposition: total over every shape, no guard.
-            Scheme::C2R => {
-                Device::Kernels { name: "c2r", run: crate::c2r::transpose_c2r_on_device }
-            }
-            // Staged family: square-tiled, heuristic staged, gcd-tiled and
-            // the conservative single-stage all execute as (possibly
-            // degenerate) stage plans.
+            Scheme::C2R => Device::C2r,
+            // Staged family: square-tiled, heuristic staged and gcd-tiled
+            // all execute as (possibly degenerate) stage plans.
             _ => {
                 built = d
                     .staged_plan(rows, cols)
@@ -646,16 +622,17 @@ fn recover<R: Recorder>(
     let oom = |sim: &Sim, need: usize| TransposeError::DeviceOom { need, free: sim.free_words() };
     let mut data = None;
     let outcome = 'chain: {
-        if let (Device::Kernels { name, .. }, true) = (device, elem_words > 1) {
+        if let (Device::C2r, true) = (device, elem_words > 1) {
             if !policy.allow_fallback {
                 return invalid(format!(
-                    "{name} device kernels are word-granular; {elem_words}-word elements need \
-                     the host fallback, which the policy disallows"
+                    "c2r device kernels are word-granular; {elem_words}-word elements need the \
+                     host fallback, which the policy disallows"
                 ));
             }
-            report.primary_error = Some(format!(
-                "{name} device kernels are word-granular; wide elements served by the host path"
-            ));
+            report.primary_error = Some(
+                "c2r device kernels are word-granular; wide elements served by the host path"
+                    .into(),
+            );
             break 'chain None;
         }
         let buf = sim.try_alloc(words).ok_or_else(|| oom(sim, words))?;
@@ -665,7 +642,7 @@ fn recover<R: Recorder>(
                 let need = plan_flag_words(plan).max(1);
                 Some(sim.try_alloc(need).ok_or_else(|| oom(sim, need))?)
             }
-            Device::Kernels { .. } => None,
+            Device::C2r => None,
         };
         sim.upload_u32(buf, &original);
         // One device attempt under `opts`, verified element-exact; only a
@@ -676,9 +653,10 @@ fn recover<R: Recorder>(
                     let flags = flags.expect("staged plans get a flag buffer");
                     run_stages_validated(sim, buf, flags, plan, opts, policy, rec, t0_s)?
                 }
-                Device::Kernels { run, .. } => {
-                    (run(sim, buf, rows, cols, opts.wg_size)?, StageRetryInfo::default())
-                }
+                Device::C2r => (
+                    crate::c2r::transpose_c2r_on_device(sim, buf, rows, cols, opts.wg_size)?,
+                    StageRetryInfo::default(),
+                ),
             };
             let result = verified(sim, buf)?;
             report.stage_retries += info.stage_retries;
@@ -798,18 +776,17 @@ pub fn transpose_scheme_with_recovery(
 /// * [`Scheme::Identity`]: row/column vectors are their own transpose in
 ///   memory — the data is returned unchanged with a clean report (nothing
 ///   to verify, nothing can fail),
-/// * [`Scheme::C2R`] and [`Scheme::Coprime`]: the device kernels with an
-///   element-exact check; on failure (e.g. a row/column too long for local
-///   memory) the chain degrades to the out-of-place kernel and then the
-///   host path. Their kernels are word-granular, so wide elements go
+/// * [`Scheme::C2R`]: the device kernels with an element-exact check; on
+///   failure the chain degrades to the out-of-place kernel and then the
+///   host path. The kernels are word-granular, so wide elements go
 ///   straight to the (verified) host path,
-/// * every staged scheme (`staged`, `gcd-tiled`, `square-tiled`,
-///   `single-stage`): [`transpose_with_recovery`] on the decision's plan.
+/// * every staged scheme (`staged`, `gcd-tiled`, `square-tiled`):
+///   [`transpose_with_recovery`] on the decision's plan.
 ///
 /// `elem_words` is the element size in 32-bit words (1 for `f32`/`u32`,
 /// 2 for `f64`). Staged-family schemes thread `rec` through validated
 /// recovery, so kernel-launch spans land inside any ambient trace context
-/// the serving layer pushed; the C2R, coprime and identity arms stay
+/// the serving layer pushed; the C2R and identity arms stay
 /// span-silent (their outcome is still visible in the returned report).
 ///
 /// # Errors
@@ -1201,36 +1178,6 @@ mod tests {
     }
 
     #[test]
-    fn scheme_recovery_explicit_coprime_still_runs() {
-        // The planner no longer emits Coprime, but a hand-picked decision
-        // stays a valid executable scheme.
-        let (r, c) = (127, 61);
-        let d = ipt_core::PlanDecision {
-            scheme: ipt_core::Scheme::Coprime,
-            reason: ipt_core::FallbackReason::NoFeasibleTile { rows: r, cols: c },
-            tile: None,
-        };
-        let mut sim = Sim::new(DeviceSpec::tesla_k20(), 2 * r * c + 64);
-        let opts = GpuOptions::tuned_for(sim.device());
-        let mut data = Matrix::iota(r, c).into_vec();
-        let want = Matrix::iota(r, c).transposed().into_vec();
-        let (stats, report) = transpose_scheme_with_recovery(
-            &mut sim,
-            &mut data,
-            r,
-            c,
-            1,
-            &d,
-            &opts,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(data, want);
-        assert_eq!(report.path, RecoveryPath::Primary);
-        assert_eq!(stats.stages.len(), 2, "row scramble + column shuffle");
-    }
-
-    #[test]
     fn scheme_recovery_c2r_wide_elements_use_verified_host_path() {
         let (r, c) = (127, 61);
         let d = decide(r, c);
@@ -1348,14 +1295,7 @@ mod tests {
         use ipt_core::{FallbackReason, PlanDecision, Scheme};
         let n = 7;
         for (rows, cols) in [(0, n), (n, 0)] {
-            for scheme in [
-                Scheme::C2R,
-                Scheme::Coprime,
-                Scheme::Staged,
-                Scheme::SingleStage,
-                Scheme::SquareTiled,
-                Scheme::GcdTiled,
-            ] {
+            for scheme in [Scheme::C2R, Scheme::Staged, Scheme::SquareTiled, Scheme::GcdTiled] {
                 let d = PlanDecision {
                     scheme,
                     reason: FallbackReason::NoFeasibleTile { rows, cols },
@@ -1401,32 +1341,5 @@ mod tests {
             .unwrap();
             assert!(report.clean());
         }
-    }
-
-    #[test]
-    fn scheme_recovery_stale_coprime_decision_is_typed() {
-        use ipt_core::{FallbackReason, PlanDecision, Scheme};
-        // A hand-forged decision that lies about coprimality must be a
-        // typed error, not a panic.
-        let bogus = PlanDecision {
-            scheme: Scheme::Coprime,
-            reason: FallbackReason::NoFeasibleTile { rows: 64, cols: 48 },
-            tile: None,
-        };
-        let mut sim = Sim::new(DeviceSpec::tesla_k20(), 64 * 48 + 64);
-        let opts = GpuOptions::tuned_for(sim.device());
-        let mut data = Matrix::iota(64, 48).into_vec();
-        let err = transpose_scheme_with_recovery(
-            &mut sim,
-            &mut data,
-            64,
-            48,
-            1,
-            &bogus,
-            &opts,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, TransposeError::InvalidConfig { .. }), "{err}");
     }
 }

@@ -1867,18 +1867,27 @@ mod tests {
             srv.restore_snapshot(&foreign, &rec).unwrap_err(),
             SnapshotError::DeviceMismatch { .. }
         ));
-        // Malformed entry (unknown scheme) — all-or-nothing, nothing kept.
-        let bad_entry = format!(
-            "{{\"snapshot_version\": {SNAPSHOT_VERSION}, \"device\": \"{}\", \"entries\": \
-             [{{\"rows\": 4, \"cols\": 4, \"elem_bytes\": 4, \"scheme\": \"alien\", \
-             \"reason\": \"preferred\", \"tile_m\": null, \"tile_n\": null}}]}}",
-            dev.name
-        );
-        assert!(matches!(
-            srv.restore_snapshot(&bad_entry, &rec).unwrap_err(),
-            SnapshotError::Malformed { .. }
-        ));
-        assert_eq!(srv.cache().len(), 0, "rejected snapshots restore nothing");
+        // Malformed entry (a scheme the planner cannot emit, the coprime
+        // and single-stage rivals included), after a valid one —
+        // all-or-nothing, nothing kept.
+        for scheme in ["alien", "coprime", "single-stage"] {
+            let bad_entry = format!(
+                "{{\"snapshot_version\": {SNAPSHOT_VERSION}, \"device\": \"{}\", \"entries\": \
+                 [{{\"rows\": 4, \"cols\": 4, \"elem_bytes\": 4, \"scheme\": \"staged\", \
+                 \"reason\": \"preferred\", \"tile_m\": 2, \"tile_n\": 2}}, \
+                 {{\"rows\": 127, \"cols\": 61, \"elem_bytes\": 4, \"scheme\": \"{scheme}\", \
+                 \"reason\": \"no-feasible-tile\", \"tile_m\": null, \"tile_n\": null}}]}}",
+                dev.name
+            );
+            assert!(
+                matches!(
+                    srv.restore_snapshot(&bad_entry, &rec).unwrap_err(),
+                    SnapshotError::Malformed { .. }
+                ),
+                "{scheme}"
+            );
+            assert_eq!(srv.cache().len(), 0, "rejected snapshots restore nothing");
+        }
         assert_eq!(
             rec.counter("serve", Counter::SnapshotRestores),
             0,

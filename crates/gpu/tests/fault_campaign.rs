@@ -20,7 +20,7 @@ use ipt_core::{InstancedTranspose, Matrix};
 use ipt_gpu::opts::GpuOptions;
 use ipt_gpu::pipeline::{plan_flag_words, run_instanced_public, select_kernel, StageKernel};
 use ipt_gpu::recover::{transpose_with_recovery, RecoveryPolicy, TransposeError};
-use ipt_gpu::{run_host_async_recovering, run_host_sync_recovering};
+use ipt_gpu::{run_host_async, run_host_sync};
 use ipt_obs::NoopRecorder;
 
 const CAMPAIGN_SEEDS: u64 = 240;
@@ -160,7 +160,7 @@ fn host_sync_run(seed: u64) -> Outcome {
     let plan = StagePlan::three_stage(rows, cols, TileConfig::new(12, 10)).unwrap();
     let dev = DeviceSpec::tesla_k20();
     let opts = GpuOptions::tuned_for(&dev);
-    match run_host_sync_recovering(
+    match run_host_sync(
         &dev,
         rows,
         cols,
@@ -194,7 +194,7 @@ fn host_async_run(seed: u64) -> Outcome {
     let plan = StagePlan::three_stage(rows, cols, TileConfig::new(12, 10)).unwrap();
     let dev = DeviceSpec::tesla_k20();
     let opts = GpuOptions::tuned_for(&dev);
-    match run_host_async_recovering(
+    match run_host_async(
         &dev,
         rows,
         cols,

@@ -102,7 +102,7 @@ proptest! {
 
     #[test]
     fn coprime_device_any_shape(rows in 2usize..80, cols in 2usize..80) {
-        prop_assume!(ipt_core::coprime::is_coprime_shape(rows, cols));
+        prop_assume!(ipt_core::c2r::is_coprime_shape(rows, cols));
         let mut sim = Sim::new(DeviceSpec::tesla_k20(), rows * cols + 8);
         let buf = sim.alloc(rows * cols);
         let m = Matrix::iota(rows, cols);

@@ -8,7 +8,8 @@
 //! ```
 
 use ipt::core::{StagePlan, TileHeuristic};
-use ipt::gpu::{run_host_async, run_host_sync, GpuOptions};
+use ipt::gpu::{run_host_async, run_host_sync, GpuOptions, RecoveryPolicy};
+use ipt_obs::NoopRecorder;
 use ipt::sim::DeviceSpec;
 
 fn main() {
@@ -18,6 +19,7 @@ fn main() {
     let tile = TileHeuristic::default().select(rows, cols).expect("tileable");
     let plan = StagePlan::three_stage(rows, cols, tile).unwrap();
     let bytes = (rows * cols * 4) as f64;
+    let policy = RecoveryPolicy::default();
 
     println!(
         "virtual in-place transposition of {rows}x{cols} ({:.1} MB) via a simulated {}",
@@ -25,7 +27,8 @@ fn main() {
         dev.name
     );
 
-    let sync = run_host_sync(&dev, rows, cols, &plan, &opts).unwrap();
+    let (sync, _) =
+        run_host_sync(&dev, rows, cols, &plan, &opts, &policy, None, &NoopRecorder).unwrap();
     println!(
         "\nsynchronous (1 queue):  {:.2} ms  ({:.2} GB/s effective)",
         sync.total_s * 1e3,
@@ -42,7 +45,7 @@ fn main() {
     }
 
     for q in [2usize, 4, 8] {
-        let asy = run_host_async(&dev, rows, cols, &plan, &opts, q).unwrap();
+        let (asy, _) = run_host_async(&dev, rows, cols, &plan, &opts, q, &policy, None).unwrap();
         println!(
             "\nasynchronous (Q = {q}):  {:.2} ms  ({:.2} GB/s effective, {:+.1}% vs sync)",
             asy.total_s * 1e3,

@@ -9,7 +9,11 @@ use ipt::core::{
     transpose_in_place_par, transpose_in_place_seq as core_seq, Algorithm, Matrix, StagePlan,
     TileConfig, TileHeuristic,
 };
-use ipt::gpu::{plan_flag_words, run_host_async, run_host_sync, transpose_on_device, GpuOptions};
+use ipt::gpu::{
+    plan_flag_words, run_host_async, run_host_sync, transpose_on_device, GpuOptions,
+    RecoveryPolicy,
+};
+use ipt_obs::NoopRecorder;
 use ipt::sim::{DeviceSpec, Sim};
 
 const SHAPES: &[(usize, usize)] = &[
@@ -77,9 +81,13 @@ fn host_offload_sync_and_async_agree() {
     let tile = TileHeuristic::default().select(r, c).unwrap();
     let plan = StagePlan::three_stage(r, c, tile).unwrap();
     // Both runs verify functional correctness internally.
-    let sync = run_host_sync(&dev, r, c, &plan, &opts).unwrap();
+    let policy = RecoveryPolicy::default();
+    let (sync, report) =
+        run_host_sync(&dev, r, c, &plan, &opts, &policy, None, &NoopRecorder).unwrap();
+    assert!(report.clean());
     for q in [1usize, 2, 4, 8] {
-        let asy = run_host_async(&dev, r, c, &plan, &opts, q).unwrap();
+        let (asy, report) = run_host_async(&dev, r, c, &plan, &opts, q, &policy, None).unwrap();
+        assert!(report.clean(), "q={q}");
         assert!(asy.total_s > 0.0);
         // Async can win or lose depending on Q, but must stay in the same
         // ballpark (no runaway scheduling bug).

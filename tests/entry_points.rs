@@ -143,12 +143,10 @@ fn recovery_chain_falls_back_on_every_arm() {
     };
     assert_eq!(recover_decision(&staged, 72, 60, abort()), RecoveryPath::ConservativeOptions);
 
-    // The kernel arms fall back to the out-of-place kernel.
+    // The kernel arm falls back to the out-of-place kernel.
     let c2r = decide_scheme(127, 61, &h);
     assert_eq!(c2r.scheme, Scheme::C2R);
     assert_eq!(recover_decision(&c2r, 127, 61, abort()), RecoveryPath::OutOfPlace);
-    let coprime = PlanDecision { scheme: Scheme::Coprime, ..c2r };
-    assert_eq!(recover_decision(&coprime, 127, 61, abort()), RecoveryPath::OutOfPlace);
 
     // The plan front door takes the same chain.
     let plan = StagePlan::three_stage(72, 60, TileConfig::new(12, 10)).unwrap();
